@@ -65,8 +65,10 @@ def belsley_csv_path() -> Path:
 def load_csv(source: str | Path | IO) -> DataMatrix:
     """Parse a strict numeric CSV into a DataMatrix.
 
-    ``source`` may be a path or an open text/binary stream. The first row
-    is the header; all further cells must parse as finite floats.
+    ``source`` may be a path or an open text/binary stream. A leading
+    UTF-8 byte-order mark is dropped. The first row is the header; all
+    further cells must parse as finite floats. Blank lines at the end are
+    ignored; a blank line followed by more data is a :class:`ParseError`.
 
     Raises
     ------
@@ -74,11 +76,14 @@ def load_csv(source: str | Path | IO) -> DataMatrix:
         With the 1-based row (and column) of the offense where it applies.
     """
     if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
+        # streamed: the whole text never sits in memory at once
+        with open(source, newline="", encoding="utf-8-sig") as handle:
+            return _parse_csv(handle)
+    text = source.read()
+    if isinstance(text, bytes):
+        text = text.decode("utf-8-sig")
     else:
-        text = source.read()
-        if isinstance(text, bytes):
-            text = text.decode("utf-8")
+        text = text.removeprefix("\ufeff")
     return _parse_csv(io.StringIO(text, newline=""))
 
 
@@ -97,6 +102,10 @@ def _parse_csv(handle: IO[str]) -> DataMatrix:
     values: list[list[float]] = []
     for rownum, cells in enumerate(reader, start=2):
         if len(cells) != width:
+            if not cells:  # a blank line: only more blank lines may follow
+                if any(reader):
+                    raise ParseError("blank line before the end of the data", row=rownum)
+                break
             raise RaggedRow(f"expected {width} cells, got {len(cells)}", row=rownum)
         parsed = []
         for colnum, cell in enumerate(cells, start=1):

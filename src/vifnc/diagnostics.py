@@ -1,24 +1,27 @@
 """Collinearity diagnostics: VIF, VIFnc, Stewart's index, and reports.
 
-Two families of auxiliary regressions drive everything here. The centered
-one (with intercept) yields the classical VIF and detects near-linear
-relations among the regressors themselves ("essential" collinearity). The
-non-centered one (through the origin) yields VIFnc, which instead reacts
-to relations among low-variability columns, the constant included once it
-is passed explicitly ("non-essential" collinearity).
+The centered auxiliary regression (with intercept) yields the classical
+VIF and detects near-linear relations among the regressors themselves
+("essential" collinearity). The non-centered one (through the origin)
+yields VIFnc, which reacts to relations among low-variability columns, the
+constant included once it is passed explicitly ("non-essential").
 
-Conventions that matter and are easy to get wrong:
+No auxiliary regression is refitted. Each RSS is a closed form of one
+Householder factor ``A = QR``: ``RSS(x | Z) = R[-1, -1]^2`` for
+``A = [Z, x]``, and for every column at once ``RSS_j = 1 / [(A'A)^-1]_jj``,
+the inverse squared norm of row j of ``R^-1``. A factor that fails the
+R-diagonal rank test is not used: its values come from the per-column
+:func:`auxiliary_regression` fit and, for ``stewart_k2``, the Gram route
+of :func:`stewart_index`, so degenerate designs report exactly as those
+routes do, ``RankDeficient`` included.
 
-* ``vifnc(j, regressors)`` regresses column j on exactly the named
-  regressors, never adding a ones column. Passing a set that contains an
-  explicit all-ones column is how the intercept trick works.
-* ``stewart_k2`` in a report row is Stewart's index of the fitted design
-  with column j removed, so it includes the intercept column whenever the
-  model has one. For intercept models it therefore decomposes *exactly*
-  as ``vif + n*mean^2/RSS``; for through-origin models it coincides
-  exactly with ``vifnc``. The two identities pick out different designs
-  and only agree when the remaining regressors span the constant.
-* Perfect collinearity returns ``math.inf``, never raises.
+Conventions: ``vifnc(j, regressors)`` regresses j on exactly the named
+regressors and never adds a ones column; passing an explicit all-ones
+regressor is the intercept trick. ``stewart_k2`` in a report row is
+Stewart's index of the fitted design minus column j, so it includes the
+intercept whenever the model has one: it equals ``vif + n*mean^2/RSS``
+exactly for intercept models and ``vifnc`` for through-origin ones.
+Perfect collinearity returns ``math.inf``, never raises.
 """
 
 from __future__ import annotations
@@ -31,12 +34,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConstantRegressor, NoConstantColumn, RankDeficient, ZeroColumn
-from .linalg import DEFAULT_RANK_RTOL
-from .ols import DataMatrix, FitResult, ModelSpec, fit
+from .linalg import DEFAULT_RANK_RTOL, qr_rank
+from .ols import INTERCEPT_NAME, DataMatrix, FitResult, ModelSpec, fit
 
 #: Auxiliary R-squared at or above 1 - PERFECT_TOL triggers the infinity
 #: sentinel for VIF/VIFnc.
 DEFAULT_PERFECT_TOL = 1e-12
+_EPS = float(np.finfo(float).eps)
 
 
 class AuxiliaryMode(enum.Enum):
@@ -124,16 +128,45 @@ def auxiliary_regression(
 
     The fit has an intercept exactly when ``mode`` is CENTERED.
     """
-    spec = ModelSpec(
-        dependent=j,
-        regressors=_others(data, j, regressors),
-        intercept=mode is AuxiliaryMode.CENTERED,
-    )
+    spec = ModelSpec(j, _others(data, j, regressors), mode is AuxiliaryMode.CENTERED)
     return fit(data, spec, rank_rtol=rank_rtol)
 
 
 def _is_constant(x: np.ndarray) -> bool:
     return float(x.min()) == float(x.max())
+
+
+def _ratio_or_inf(tss: float, rss: float, perfect_tol: float) -> float:
+    """``tss / rss``, or ``math.inf`` once rss is at most ``perfect_tol * tss``."""
+    return math.inf if rss <= perfect_tol * tss else tss / rss
+
+
+def _vif_and_term(x: np.ndarray, rss: float, perfect_tol: float) -> tuple[float, float]:
+    """VIF and ``n*mean^2/RSS`` of ``x``; the term is inf with the VIF unless the mean is 0."""
+    mean = float(x.mean())
+    value = _ratio_or_inf(float(((x - mean) ** 2).sum()), rss, perfect_tol)
+    if math.isinf(value):
+        return value, math.inf if mean != 0.0 else 0.0
+    return value, x.shape[0] * mean * mean / rss
+
+
+def _factor(design: np.ndarray, rank_rtol: float = DEFAULT_RANK_RTOL) -> np.ndarray | None:
+    """Triangular factor R of ``design``, or None when it fails the rank test."""
+    r = np.linalg.qr(design, mode="r")
+    return r if qr_rank(r, rank_rtol) == design.shape[1] else None
+
+
+def _inverse_gram_diagonal(r: np.ndarray) -> np.ndarray:
+    """``diag((A'A)^-1)`` as the squared row norms of ``R^-1``, for ``A = QR``."""
+    r_inv = np.linalg.inv(r)  # LU of a triangular R is R: a triangular inverse
+    return np.einsum("ij,ij->i", r_inv, r_inv)
+
+
+def _aux_rss(data: DataMatrix, j: str, regressors: Sequence[str] | None, intercept: bool) -> float:
+    """RSS of the auxiliary regression of ``j``, as ``R[-1, -1]^2`` of ``[design, x_j]``."""
+    spec = ModelSpec(j, _others(data, j, regressors), intercept)
+    r = _factor(data.matrix(spec.regressors + (j,), spec.intercept))
+    return fit(data, spec).rss if r is None else float(r[-1, -1]) ** 2
 
 
 def vif(
@@ -155,10 +188,7 @@ def vif(
     x = data.column(j)
     if _is_constant(x):
         raise ConstantRegressor(f"column {j!r} is constant; centered VIF is undefined")
-    aux = auxiliary_regression(data, j, regressors, AuxiliaryMode.CENTERED)
-    if aux.rss <= perfect_tol * aux.tss_centered:
-        return math.inf
-    return aux.tss_centered / aux.rss
+    return _vif_and_term(x, _aux_rss(data, j, regressors, intercept=True), perfect_tol)[0]
 
 
 def vifnc(
@@ -179,27 +209,18 @@ def vifnc(
     tss = float(x @ x)
     if tss == 0.0:
         raise ZeroColumn(f"column {j!r} is identically zero")
-    aux = auxiliary_regression(data, j, regressors, AuxiliaryMode.NONCENTERED)
-    if aux.rss <= perfect_tol * tss:
-        return math.inf
-    return tss / aux.rss
+    return _ratio_or_inf(tss, _aux_rss(data, j, regressors, intercept=False), perfect_tol)
 
 
-def _stewart_from_arrays(
-    x: np.ndarray, others: np.ndarray, perfect_tol: float
-) -> float:
+def _stewart_from_arrays(x: np.ndarray, others: np.ndarray, perfect_tol: float) -> float:
     """Stewart's index from cross products: x'x / (x'x - x'Z (Z'Z)^-1 Z'x)."""
     gram = others.T @ others
     q = others.T @ x
-    k = gram.shape[0]
-    if np.linalg.matrix_rank(gram, hermitian=True) < k:
+    if np.linalg.matrix_rank(gram, hermitian=True) < gram.shape[0]:
         raise RankDeficient("cross-product matrix of the remaining columns is singular")
     sol = np.linalg.solve(gram, q)
     tss = float(x @ x)
-    denom = tss - float(q @ sol)
-    if denom <= perfect_tol * tss:
-        return math.inf
-    return tss / denom
+    return _ratio_or_inf(tss, tss - float(q @ sol), perfect_tol)
 
 
 def stewart_index(
@@ -212,7 +233,7 @@ def stewart_index(
     """Stewart's collinearity index k_j^2 from cross products.
 
     Numerically independent route to the same quantity as
-    :func:`vifnc`: the one goes through a QR fit, this one through the
+    :func:`vifnc`: the one goes through a QR factor, this one through the
     Gram system of the remaining columns.
     """
     others = _others(data, j, regressors)
@@ -242,13 +263,7 @@ def stewart_decomposition(
     x = data.column(j)
     if _is_constant(x):
         raise ConstantRegressor(f"column {j!r} is constant; the decomposition is undefined")
-    aux = auxiliary_regression(data, j, regressors, AuxiliaryMode.CENTERED)
-    mean = float(x.mean())
-    if aux.rss <= perfect_tol * aux.tss_centered:
-        return math.inf, math.inf if mean != 0.0 else 0.0
-    vif_part = aux.tss_centered / aux.rss
-    nonessential_part = data.n * mean * mean / aux.rss
-    return vif_part, nonessential_part
+    return _vif_and_term(x, _aux_rss(data, j, regressors, intercept=True), perfect_tol)
 
 
 def variance_factors(
@@ -259,44 +274,29 @@ def variance_factors(
 ) -> list[VarianceFactor]:
     """Coefficient variances of the model as multiples of sigma^2.
 
-    For each design column j: ``var_over_sigma2 = 1/RSS_j`` where RSS_j
-    comes from regressing that column on every other design column (the
-    ones column included when the model has an intercept), and
-    ``var_orthogonal_over_sigma2 = 1/(x_j'x_j)`` is the orthogonal-design
-    reference. Their ratio is the variance inflation relative to that
-    reference and, for through-origin models, equals VIFnc of the column
-    within the design.
+    For each design column j: ``var_over_sigma2 = [(A'A)^-1]_jj = 1/RSS_j``
+    where RSS_j comes from regressing that column on every other design
+    column (the ones column included when the model has an intercept),
+    and ``var_orthogonal_over_sigma2 = 1/(x_j'x_j)`` is the
+    orthogonal-design reference. Their ratio is the variance inflation
+    relative to that reference and, for through-origin models, equals
+    VIFnc of the column within the design.
     """
-    design = data.matrix(spec.regressors)
-    names = list(spec.regressors)
-    if spec.intercept:
-        design = np.column_stack([np.ones(data.n), design])
-        names = ["intercept"] + names
-
-    r = np.linalg.qr(design, mode="r")
-    diag = np.abs(np.diag(r))
-    if design.shape[1] > data.n or diag.min() < rank_rtol * diag.max():
+    design = data.matrix(spec.regressors, spec.intercept)
+    names = ((INTERCEPT_NAME,) if spec.intercept else ()) + spec.regressors
+    r = _factor(design, rank_rtol)
+    if r is None:
         raise RankDeficient("model design is numerically rank deficient")
-
-    out = []
-    for idx, name in enumerate(names):
-        x = design[:, idx]
-        rest = np.delete(design, idx, axis=1)
-        coef, *_ = np.linalg.lstsq(rest, x, rcond=None)
-        resid = x - rest @ coef
-        rss = float(resid @ resid)
-        var = 1.0 / rss
-        var_orth = 1.0 / float(x @ x)
-        out.append(
-            VarianceFactor(
-                variable=name,
-                var_over_sigma2=var,
-                var_orthogonal_over_sigma2=var_orth,
-                ratio=var / var_orth,
-                intercept_position=(spec.intercept and idx == 0) or _is_constant(x),
-            )
+    return [
+        VarianceFactor(
+            variable=name,
+            var_over_sigma2=float(var),
+            var_orthogonal_over_sigma2=1.0 / float(x @ x),
+            ratio=float(var) * float(x @ x),
+            intercept_position=(spec.intercept and idx == 0) or _is_constant(x),
         )
-    return out
+        for idx, (name, var, x) in enumerate(zip(names, _inverse_gram_diagonal(r), design.T))
+    ]
 
 
 def intercept_trick(
@@ -344,44 +344,42 @@ def full_report(
     """
     if len(spec.regressors) < 2:
         raise ValueError("a collinearity report needs at least two regressors")
-    for name in (spec.dependent, *spec.regressors):
-        data.column(name)
+    data.column(spec.dependent)
+    r_nc, r_c = (_factor(data.matrix(spec.regressors, c)) for c in (False, True))
+    g_nc, g_c = (None if r is None else _inverse_gram_diagonal(r) for r in (r_nc, r_c))
+    r_model = r_c if spec.intercept else r_nc
+    # Near the Gram route's singularity line (cond^2 * k * eps ~ 1), rows still
+    # run that route so its RankDeficient verdict stands; values use the factor.
+    gram_route = r_model is None or np.linalg.cond(r_model) ** 2 * len(r_model) * _EPS > 1e-2
 
     rows = []
-    for j in spec.regressors:
+    for i, j in enumerate(spec.regressors):
         others = tuple(o for o in spec.regressors if o != j)
         x = data.column(j)
         mean = float(x.mean())
-        sd = float(x.std(ddof=1))
-        cv = math.inf if mean == 0.0 else sd / abs(mean)
+        cv = math.inf if mean == 0.0 else float(x.std(ddof=1)) / abs(mean)
 
         tss_unc = float(x @ x)
         if tss_unc == 0.0:
             raise ZeroColumn(f"column {j!r} is identically zero")
-        aux_nc = auxiliary_regression(data, j, others, AuxiliaryMode.NONCENTERED)
-        if aux_nc.rss <= perfect_tol * tss_unc:
-            value_nc = math.inf
-        else:
-            value_nc = tss_unc / aux_nc.rss
+        rss_nc = (
+            auxiliary_regression(data, j, others, AuxiliaryMode.NONCENTERED).rss
+            if g_nc is None else 1.0 / float(g_nc[i])
+        )
+        value_nc = _ratio_or_inf(tss_unc, rss_nc, perfect_tol)
 
-        if _is_constant(x):
-            value_vif = None
-            rss_c = None
-            term = None
-        else:
-            aux_c = auxiliary_regression(data, j, others, AuxiliaryMode.CENTERED)
-            rss_c = aux_c.rss
-            if aux_c.rss <= perfect_tol * aux_c.tss_centered:
-                value_vif = math.inf
-                term = math.inf if mean != 0.0 else 0.0
-            else:
-                value_vif = aux_c.tss_centered / aux_c.rss
-                term = data.n * mean * mean / aux_c.rss
+        value_vif = rss_c = term = None
+        if not _is_constant(x):
+            rss_c = (
+                auxiliary_regression(data, j, others, AuxiliaryMode.CENTERED).rss
+                if g_c is None else 1.0 / float(g_c[i + 1])
+            )
+            value_vif, term = _vif_and_term(x, rss_c, perfect_tol)
 
-        design_others = data.matrix(others)
-        if spec.intercept:
-            design_others = np.column_stack([np.ones(data.n), design_others])
-        k2 = _stewart_from_arrays(x, design_others, perfect_tol)
+        if gram_route:
+            k2 = _stewart_from_arrays(x, data.matrix(others, spec.intercept), perfect_tol)
+        if r_model is not None:
+            k2 = _ratio_or_inf(tss_unc, rss_c if spec.intercept else rss_nc, perfect_tol)
 
         essential = value_vif is not None and value_vif >= thresholds.vif
         nonessential = value_nc >= thresholds.vifnc and not essential
@@ -394,7 +392,7 @@ def full_report(
                 stewart_k2=k2,
                 nonessential_term=term,
                 rss_aux_centered=rss_c,
-                rss_aux_noncentered=aux_nc.rss,
+                rss_aux_noncentered=rss_nc,
                 coef_variation=cv,
                 essential_suspect=essential,
                 nonessential_suspect=nonessential,

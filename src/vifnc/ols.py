@@ -81,9 +81,14 @@ class DataMatrix:
             raise UnknownColumn(f"no column named {name!r}") from None
         return self.values[:, idx]
 
-    def matrix(self, names: Iterable[str]) -> np.ndarray:
-        """Columns stacked in the given order as an (n, k) array."""
+    def matrix(self, names: Iterable[str], intercept: bool = False) -> np.ndarray:
+        """Columns stacked in the given order as an (n, k) array.
+
+        With ``intercept`` a ones column comes first, as in a fitted design.
+        """
         cols = [self.column(n) for n in names]
+        if intercept:
+            cols.insert(0, np.ones(self.n))
         return np.column_stack(cols)
 
 
@@ -163,11 +168,8 @@ def fit(data: DataMatrix, spec: ModelSpec, rank_rtol: float = DEFAULT_RANK_RTOL)
         If the design has more columns than rows.
     """
     y = data.column(spec.dependent)
-    X = data.matrix(spec.regressors)
-    names = spec.regressors
-    if spec.intercept:
-        X = np.column_stack([np.ones(data.n), X])
-        names = (INTERCEPT_NAME,) + names
+    X = data.matrix(spec.regressors, spec.intercept)
+    names = ((INTERCEPT_NAME,) if spec.intercept else ()) + spec.regressors
     if data.n < X.shape[1]:
         raise TooFewObservations(
             f"{data.n} observations cannot support {X.shape[1]} design columns"

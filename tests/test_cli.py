@@ -119,6 +119,23 @@ class TestDiagnose:
         assert row_c["vifnc"] == {"value": None, "infinite": True}
         assert row_c["flags"]["essential_suspect"] is True
 
+    def test_byte_order_mark_and_trailing_blank_lines(self, belsley_csv, tmp_path, capsys):
+        code, plain, _ = run_cli(capsys, "diagnose", str(belsley_csv), "--dependent", "y")
+        assert code == 0
+        path = tmp_path / "excel.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + BELSLEY_CSV.encode("utf-8") + b"\n\n")
+        code, out, err = run_cli(capsys, "diagnose", str(path), "--dependent", "y")
+        assert (code, err) == (0, "")
+        assert out == plain.replace(str(belsley_csv), str(path))
+
+    def test_interior_blank_line_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "gap.csv"
+        lines = BELSLEY_CSV.splitlines()
+        path.write_text("\n".join(lines[:5] + [""] + lines[5:]) + "\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, "diagnose", str(path), "--dependent", "y")
+        assert code == 2
+        assert "blank line" in err and "row 6" in err
+
     def test_no_intercept_with_explicit_ones(self, belsley_csv, capsys):
         code, out, _ = run_cli(
             capsys,

@@ -86,6 +86,32 @@ class TestLoadCsv:
         with pytest.raises(ParseError):
             load_csv(io.StringIO("a,b\n"))
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        text = "\ufeffa,b\n1,2\n3,4\n"
+        path = tmp_path / "bom.csv"
+        path.write_text(text, encoding="utf-8")
+        for source in (path, str(path), io.StringIO(text), io.BytesIO(text.encode("utf-8"))):
+            data = load_csv(source)
+            assert data.names == ("a", "b")
+            assert data.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_trailing_blank_lines_are_ignored(self):
+        for text in ("a,b\n1,2\n3,4\n\n", "a,b\n1,2\n3,4\n\n\n\n", "a,b\r\n1,2\r\n3,4\r\n\r\n"):
+            assert load_csv(io.StringIO(text)).values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_interior_blank_line_reports_location(self):
+        for text, row in (("a,b\n1,2\n\n3,4\n", 3), ("a,b\n\n1,2\n", 2), ("a,b\n1,2\n\n\n3,4", 3)):
+            with pytest.raises(ParseError) as err:
+                load_csv(io.StringIO(text))
+            assert not isinstance(err.value, RaggedRow)
+            assert "blank line" in str(err.value)
+            assert err.value.row == row
+            assert f"row {row}" in str(err.value)
+
+    def test_only_blank_lines_after_header(self):
+        with pytest.raises(ParseError, match="no data rows"):
+            load_csv(io.StringIO("a,b\n\n\n"))
+
 
 class TestRoundTrip:
     def test_seeded_random_matrices(self):
