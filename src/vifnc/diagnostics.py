@@ -6,14 +6,14 @@ VIF and detects near-linear relations among the regressors themselves
 yields VIFnc, which reacts to relations among low-variability columns, the
 constant included once it is passed explicitly ("non-essential").
 
-No auxiliary regression is refitted. Each RSS is a closed form of one
-Householder factor ``A = QR``: ``RSS(x | Z) = R[-1, -1]^2`` for
-``A = [Z, x]``, and for every column at once ``RSS_j = 1 / [(A'A)^-1]_jj``,
-the inverse squared norm of row j of ``R^-1``. A factor that fails the
-R-diagonal rank test is not used: its values come from the per-column
-:func:`auxiliary_regression` fit and, for ``stewart_k2``, the Gram route
-of :func:`stewart_index`, so degenerate designs report exactly as those
-routes do, ``RankDeficient`` included.
+No auxiliary regression is refitted. Every auxiliary RSS comes from one
+kernel, :func:`vifnc.linalg.aux_rss`: one Householder factor of the design,
+the SVD of that factor with unit-length columns, and
+``RSS_j = 1 / [(A'A)^+]_jj`` over the numerically nonzero singular values.
+A column with weight in the numerical null space gets RSS 0, which every
+ratio turns into ``math.inf`` in that column's row only. ``full_report``
+raises ``RankDeficient`` only when the model design's null space has two
+or more dimensions and every regressor has weight in it.
 
 Conventions: ``vifnc(j, regressors)`` regresses j on exactly the named
 regressors and never adds a ones column; passing an explicit all-ones
@@ -34,13 +34,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConstantRegressor, NoConstantColumn, RankDeficient, ZeroColumn
-from .linalg import DEFAULT_RANK_RTOL, qr_rank
+from .linalg import DEFAULT_RANK_RTOL, SCALED_RANK_RTOL, aux_rss
 from .ols import INTERCEPT_NAME, DataMatrix, FitResult, ModelSpec, fit
 
 #: Auxiliary R-squared at or above 1 - PERFECT_TOL triggers the infinity
 #: sentinel for VIF/VIFnc.
 DEFAULT_PERFECT_TOL = 1e-12
-_EPS = float(np.finfo(float).eps)
 
 
 class AuxiliaryMode(enum.Enum):
@@ -127,6 +126,8 @@ def auxiliary_regression(
     """Regress column ``j`` on ``regressors`` (default: every other column).
 
     The fit has an intercept exactly when ``mode`` is CENTERED.
+    ``rank_rtol`` is the solver's rank tolerance, forwarded to
+    :func:`vifnc.ols.fit`.
     """
     spec = ModelSpec(j, _others(data, j, regressors), mode is AuxiliaryMode.CENTERED)
     return fit(data, spec, rank_rtol=rank_rtol)
@@ -136,37 +137,27 @@ def _is_constant(x: np.ndarray) -> bool:
     return float(x.min()) == float(x.max())
 
 
-def _ratio_or_inf(tss: float, rss: float, perfect_tol: float) -> float:
-    """``tss / rss``, or ``math.inf`` once rss is at most ``perfect_tol * tss``."""
-    return math.inf if rss <= perfect_tol * tss else tss / rss
+def _ratio_or_inf(tss, rss, perfect_tol: float) -> np.ndarray:
+    """``tss / rss`` elementwise, or ``inf`` once rss is at most ``perfect_tol * tss``."""
+    tss, rss = np.asarray(tss, dtype=float), np.asarray(rss, dtype=float)
+    perfect = rss <= perfect_tol * tss
+    return np.where(perfect, np.inf, tss / np.where(perfect, 1.0, rss))
 
 
 def _vif_and_term(x: np.ndarray, rss: float, perfect_tol: float) -> tuple[float, float]:
     """VIF and ``n*mean^2/RSS`` of ``x``; the term is inf with the VIF unless the mean is 0."""
     mean = float(x.mean())
-    value = _ratio_or_inf(float(((x - mean) ** 2).sum()), rss, perfect_tol)
+    value = float(_ratio_or_inf(float(((x - mean) ** 2).sum()), rss, perfect_tol))
     if math.isinf(value):
         return value, math.inf if mean != 0.0 else 0.0
     return value, x.shape[0] * mean * mean / rss
 
 
-def _factor(design: np.ndarray, rank_rtol: float = DEFAULT_RANK_RTOL) -> np.ndarray | None:
-    """Triangular factor R of ``design``, or None when it fails the rank test."""
-    r = np.linalg.qr(design, mode="r")
-    return r if qr_rank(r, rank_rtol) == design.shape[1] else None
-
-
-def _inverse_gram_diagonal(r: np.ndarray) -> np.ndarray:
-    """``diag((A'A)^-1)`` as the squared row norms of ``R^-1``, for ``A = QR``."""
-    r_inv = np.linalg.inv(r)  # LU of a triangular R is R: a triangular inverse
-    return np.einsum("ij,ij->i", r_inv, r_inv)
-
-
-def _aux_rss(data: DataMatrix, j: str, regressors: Sequence[str] | None, intercept: bool) -> float:
-    """RSS of the auxiliary regression of ``j``, as ``R[-1, -1]^2`` of ``[design, x_j]``."""
-    spec = ModelSpec(j, _others(data, j, regressors), intercept)
-    r = _factor(data.matrix(spec.regressors + (j,), spec.intercept))
-    return fit(data, spec).rss if r is None else float(r[-1, -1]) ** 2
+def _rss_on_others(
+    data: DataMatrix, j: str, regressors: Sequence[str] | None, intercept: bool
+) -> float:
+    """RSS of the auxiliary regression of ``j``: the kernel's last entry on ``[design, x_j]``."""
+    return float(aux_rss(data.matrix(_others(data, j, regressors) + (j,), intercept))[0][-1])
 
 
 def vif(
@@ -188,7 +179,7 @@ def vif(
     x = data.column(j)
     if _is_constant(x):
         raise ConstantRegressor(f"column {j!r} is constant; centered VIF is undefined")
-    return _vif_and_term(x, _aux_rss(data, j, regressors, intercept=True), perfect_tol)[0]
+    return _vif_and_term(x, _rss_on_others(data, j, regressors, intercept=True), perfect_tol)[0]
 
 
 def vifnc(
@@ -209,18 +200,8 @@ def vifnc(
     tss = float(x @ x)
     if tss == 0.0:
         raise ZeroColumn(f"column {j!r} is identically zero")
-    return _ratio_or_inf(tss, _aux_rss(data, j, regressors, intercept=False), perfect_tol)
-
-
-def _stewart_from_arrays(x: np.ndarray, others: np.ndarray, perfect_tol: float) -> float:
-    """Stewart's index from cross products: x'x / (x'x - x'Z (Z'Z)^-1 Z'x)."""
-    gram = others.T @ others
-    q = others.T @ x
-    if np.linalg.matrix_rank(gram, hermitian=True) < gram.shape[0]:
-        raise RankDeficient("cross-product matrix of the remaining columns is singular")
-    sol = np.linalg.solve(gram, q)
-    tss = float(x @ x)
-    return _ratio_or_inf(tss, tss - float(q @ sol), perfect_tol)
+    rss = _rss_on_others(data, j, regressors, intercept=False)
+    return float(_ratio_or_inf(tss, rss, perfect_tol))
 
 
 def stewart_index(
@@ -232,15 +213,21 @@ def stewart_index(
 ) -> float:
     """Stewart's collinearity index k_j^2 from cross products.
 
-    Numerically independent route to the same quantity as
-    :func:`vifnc`: the one goes through a QR factor, this one through the
-    Gram system of the remaining columns.
+    ``x'x / (x'x - x'Z (Z'Z)^-1 Z'x)`` with Z the remaining columns: a
+    numerically independent route to the same quantity as :func:`vifnc`,
+    which goes through the spectral kernel instead of the Gram system.
+    Raises :class:`RankDeficient` when ``Z'Z`` is singular.
     """
-    others = _others(data, j, regressors)
+    others = data.matrix(_others(data, j, regressors))
     x = data.column(j)
-    if float(x @ x) == 0.0:
+    tss = float(x @ x)
+    if tss == 0.0:
         raise ZeroColumn(f"column {j!r} is identically zero")
-    return _stewart_from_arrays(x, data.matrix(others), perfect_tol)
+    gram = others.T @ others
+    q = others.T @ x
+    if np.linalg.matrix_rank(gram, hermitian=True) < gram.shape[0]:
+        raise RankDeficient("cross-product matrix of the remaining columns is singular")
+    return float(_ratio_or_inf(tss, tss - float(q @ np.linalg.solve(gram, q)), perfect_tol))
 
 
 def stewart_decomposition(
@@ -263,14 +250,14 @@ def stewart_decomposition(
     x = data.column(j)
     if _is_constant(x):
         raise ConstantRegressor(f"column {j!r} is constant; the decomposition is undefined")
-    return _vif_and_term(x, _aux_rss(data, j, regressors, intercept=True), perfect_tol)
+    return _vif_and_term(x, _rss_on_others(data, j, regressors, intercept=True), perfect_tol)
 
 
 def variance_factors(
     data: DataMatrix,
     spec: ModelSpec,
     *,
-    rank_rtol: float = DEFAULT_RANK_RTOL,
+    rank_rtol: float = SCALED_RANK_RTOL,
 ) -> list[VarianceFactor]:
     """Coefficient variances of the model as multiples of sigma^2.
 
@@ -281,11 +268,16 @@ def variance_factors(
     orthogonal-design reference. Their ratio is the variance inflation
     relative to that reference and, for through-origin models, equals
     VIFnc of the column within the design.
+
+    Raises :class:`RankDeficient` when the design's numerical rank is
+    below its column count: with unit-length columns, a singular value
+    below ``rank_rtol`` times the largest counts as zero, whatever the
+    columns' units.
     """
     design = data.matrix(spec.regressors, spec.intercept)
     names = ((INTERCEPT_NAME,) if spec.intercept else ()) + spec.regressors
-    r = _factor(design, rank_rtol)
-    if r is None:
+    rss, rank = aux_rss(design, rank_rtol)
+    if rank < design.shape[1]:
         raise RankDeficient("model design is numerically rank deficient")
     return [
         VarianceFactor(
@@ -295,7 +287,7 @@ def variance_factors(
             ratio=float(var) * float(x @ x),
             intercept_position=(spec.intercept and idx == 0) or _is_constant(x),
         )
-        for idx, (name, var, x) in enumerate(zip(names, _inverse_gram_diagonal(r), design.T))
+        for idx, (name, var, x) in enumerate(zip(names, 1.0 / rss, design.T))
     ]
 
 
@@ -319,10 +311,13 @@ def intercept_trick(
         raise NoConstantColumn("the intercept trick needs an explicit all-ones regressor")
     if len(ones) > 1:
         raise ValueError(f"more than one all-ones regressor: {ones}")
-    return [
-        (j, vifnc(data, j, [o for o in regressors if o != j], perfect_tol=perfect_tol))
-        for j in regressors
-    ]
+    design = data.matrix(regressors)
+    tss = np.array([float(x @ x) for x in design.T])
+    for j, total in zip(regressors, tss):
+        if total == 0.0:
+            raise ZeroColumn(f"column {j!r} is identically zero")
+    values = _ratio_or_inf(tss, aux_rss(design)[0], perfect_tol)
+    return [(j, float(value)) for j, value in zip(regressors, values)]
 
 
 def full_report(
@@ -341,45 +336,47 @@ def full_report(
     ``essential_suspect`` when vif >= thresholds.vif, and
     ``nonessential_suspect`` when vifnc >= thresholds.vifnc while vif
     stayed below its threshold (or was undefined).
+
+    Raises :class:`ZeroColumn` for an identically zero regressor,
+    :class:`TooFewObservations` when a centered auxiliary regression has
+    more columns than there are rows, and :class:`RankDeficient` only when
+    the model design's null space has two or more dimensions and every
+    regressor has weight in it.
     """
     if len(spec.regressors) < 2:
         raise ValueError("a collinearity report needs at least two regressors")
     data.column(spec.dependent)
-    r_nc, r_c = (_factor(data.matrix(spec.regressors, c)) for c in (False, True))
-    g_nc, g_c = (None if r is None else _inverse_gram_diagonal(r) for r in (r_nc, r_c))
-    r_model = r_c if spec.intercept else r_nc
-    # Near the Gram route's singularity line (cond^2 * k * eps ~ 1), rows still
-    # run that route so its RankDeficient verdict stands; values use the factor.
-    gram_route = r_model is None or np.linalg.cond(r_model) ** 2 * len(r_model) * _EPS > 1e-2
+    for j in spec.regressors:
+        x = data.column(j)
+        if float(x @ x) == 0.0:
+            raise ZeroColumn(f"column {j!r} is identically zero")
+    # [1, X] = QR gives X = Q R[:, 1:]: both kernel calls run on (k+1)-row factors
+    r = np.linalg.qr(data.matrix(spec.regressors, intercept=True), mode="r")
+    rss_nc, rank_nc = aux_rss(r[:, 1:])
+    rss_c, rank_c = aux_rss(r)
+    rss_c = rss_c[1:]
+    if spec.intercept:
+        rss_model, null_dim = rss_c, len(spec.regressors) + 1 - rank_c
+    else:
+        rss_model, null_dim = rss_nc, len(spec.regressors) - rank_nc
+    if null_dim >= 2 and not rss_model.any():
+        raise RankDeficient(
+            "model design is singular: every regressor lies in its "
+            f"{int(null_dim)}-dimensional null space"
+        )
 
     rows = []
     for i, j in enumerate(spec.regressors):
-        others = tuple(o for o in spec.regressors if o != j)
         x = data.column(j)
         mean = float(x.mean())
         cv = math.inf if mean == 0.0 else float(x.std(ddof=1)) / abs(mean)
-
         tss_unc = float(x @ x)
-        if tss_unc == 0.0:
-            raise ZeroColumn(f"column {j!r} is identically zero")
-        rss_nc = (
-            auxiliary_regression(data, j, others, AuxiliaryMode.NONCENTERED).rss
-            if g_nc is None else 1.0 / float(g_nc[i])
-        )
-        value_nc = _ratio_or_inf(tss_unc, rss_nc, perfect_tol)
+        value_nc = float(_ratio_or_inf(tss_unc, rss_nc[i], perfect_tol))
 
-        value_vif = rss_c = term = None
+        value_vif = centered = term = None
         if not _is_constant(x):
-            rss_c = (
-                auxiliary_regression(data, j, others, AuxiliaryMode.CENTERED).rss
-                if g_c is None else 1.0 / float(g_c[i + 1])
-            )
-            value_vif, term = _vif_and_term(x, rss_c, perfect_tol)
-
-        if gram_route:
-            k2 = _stewart_from_arrays(x, data.matrix(others, spec.intercept), perfect_tol)
-        if r_model is not None:
-            k2 = _ratio_or_inf(tss_unc, rss_c if spec.intercept else rss_nc, perfect_tol)
+            centered = float(rss_c[i])
+            value_vif, term = _vif_and_term(x, centered, perfect_tol)
 
         essential = value_vif is not None and value_vif >= thresholds.vif
         nonessential = value_nc >= thresholds.vifnc and not essential
@@ -389,10 +386,10 @@ def full_report(
                 mean=mean,
                 vif=value_vif,
                 vifnc=value_nc,
-                stewart_k2=k2,
+                stewart_k2=float(_ratio_or_inf(tss_unc, rss_model[i], perfect_tol)),
                 nonessential_term=term,
-                rss_aux_centered=rss_c,
-                rss_aux_noncentered=rss_nc,
+                rss_aux_centered=centered,
+                rss_aux_noncentered=float(rss_nc[i]),
                 coef_variation=cv,
                 essential_suspect=essential,
                 nonessential_suspect=nonessential,

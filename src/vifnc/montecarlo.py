@@ -15,21 +15,22 @@ Three design recipes:
   should fire while VIF stays quiet.
 
 Each replication derives its own child seed from (master_seed, index), so
-results never depend on execution order.
+results never depend on execution order. The replications' designs go into
+one stacked array, and both diagnostics of every replication come from two
+calls of the auxiliary-RSS kernel: one on ``[1, X]`` and one on ``X``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import Thresholds, vif, vifnc
-from .errors import ConfigError, VifncError
+from .diagnostics import DEFAULT_PERFECT_TOL, Thresholds, _ratio_or_inf
+from .errors import ConfigError
 from .datasets import GeneratorSpec, derive_seed, generate_normal_column
-from .ols import DataMatrix
+from .linalg import aux_rss
 
 KINDS = ("independent", "essential", "nonessential")
 
@@ -98,27 +99,32 @@ class MonteCarloSummary:
     vifnc_exceedance: float
 
 
-def _generate(spec: ScenarioSpec, seed: int) -> tuple[DataMatrix, str, tuple[str, ...]]:
-    """Build one replication's design; returns (data, designated, others)."""
+#: Regressor columns per kind, and the column diagnosed by default.
+_WIDTH = {"independent": 3, "essential": 2, "nonessential": 2}
+_DESIGNATED = {"independent": 0, "essential": 1, "nonessential": 0}
+
+
+def _generate(spec: ScenarioSpec, seed: int, out: np.ndarray) -> None:
+    """Write one replication's regressors into the ``(n, width)`` array ``out``.
+
+    independent: x1, x2, x3; essential: z, x = lambda*z + noise;
+    nonessential: a, b = base + noise.
+    """
     def column(index: int, mean: float, variance: float) -> np.ndarray:
         return generate_normal_column(
             GeneratorSpec(n=spec.n, mean=mean, variance=variance, seed=derive_seed(seed, index))
         )
 
     if spec.kind == "independent":
-        data = DataMatrix.from_columns(
-            {"x1": column(0, 4.0, 16.0), "x2": column(1, 4.0, 16.0), "x3": column(2, 4.0, 16.0)}
-        )
-        return data, "x1", ("x2", "x3")
-    if spec.kind == "essential":
+        for index in range(3):
+            out[:, index] = column(index, 4.0, 16.0)
+    elif spec.kind == "essential":
         z = column(0, 4.0, 16.0)
-        noise = column(1, 0.0, spec.noise_sd**2)
-        data = DataMatrix.from_columns({"z": z, "x": spec.lam * z + noise})
-        return data, "x", ("z",)
-    a = spec.base + column(0, 0.0, spec.noise_sd**2)
-    b = spec.base + column(1, 0.0, spec.noise_sd**2)
-    data = DataMatrix.from_columns({"a": a, "b": b})
-    return data, "a", ("b",)
+        out[:, 0] = z
+        out[:, 1] = spec.lam * z + column(1, 0.0, spec.noise_sd**2)
+    else:
+        out[:, 0] = spec.base + column(0, 0.0, spec.noise_sd**2)
+        out[:, 1] = spec.base + column(1, 0.0, spec.noise_sd**2)
 
 
 def _stats(values: np.ndarray) -> DiagnosticStats:
@@ -155,30 +161,23 @@ def run_scenario(
     degenerates (rank-deficient draw or perfect collinearity); failures
     are disclosed in ``n_failed`` and excluded from the percentiles.
     """
-    vifs: list[float] = []
-    vifncs: list[float] = []
-    succeeded = 0
-    failed = 0
+    designs = np.empty((spec.replications, spec.n, 1 + _WIDTH[spec.kind]))
+    designs[:, :, 0] = 1.0
     for r in range(spec.replications):
-        data, designated, _ = _generate(spec, derive_seed(spec.master_seed, r))
-        targets = list(data.names) if full_sweep else [designated]
-        try:
-            pairs = []
-            for name in targets:
-                rest = tuple(o for o in data.names if o != name)
-                pairs.append((vif(data, name, rest), vifnc(data, name, rest)))
-        except VifncError:
-            failed += 1
-            continue
-        if any(math.isinf(v) or math.isinf(w) for v, w in pairs):
-            failed += 1
-            continue
-        succeeded += 1
-        vifs.extend(v for v, _ in pairs)
-        vifncs.extend(w for _, w in pairs)
-
-    varr = np.asarray(vifs)
-    warr = np.asarray(vifncs)
+        _generate(spec, derive_seed(spec.master_seed, r), designs[r, :, 1:])
+    x = designs[:, :, 1:]
+    tss = np.einsum("rij,rij->rj", x, x)
+    tss_centered = ((x - x.mean(axis=1, keepdims=True)) ** 2).sum(axis=1)
+    # a constant or zero column has RSS 0 and so reads inf, like a perfect fit
+    vifs = _ratio_or_inf(tss_centered, aux_rss(designs)[0][:, 1:], DEFAULT_PERFECT_TOL)
+    vifncs = _ratio_or_inf(tss, aux_rss(x)[0], DEFAULT_PERFECT_TOL)
+    if not full_sweep:
+        vifs, vifncs = (a[:, [_DESIGNATED[spec.kind]]] for a in (vifs, vifncs))
+    ok = np.isfinite(vifs).all(axis=1) & np.isfinite(vifncs).all(axis=1)
+    varr = vifs[ok].ravel()
+    warr = vifncs[ok].ravel()
+    succeeded = int(ok.sum())
+    failed = spec.replications - succeeded
     return MonteCarloSummary(
         scenario=spec,
         thresholds=thresholds,
@@ -186,8 +185,8 @@ def run_scenario(
         n_failed=failed,
         vif_stats=_stats(varr),
         vifnc_stats=_stats(warr),
-        vif_exceedance=float((varr >= thresholds.vif).mean()) if len(vifs) else float("nan"),
-        vifnc_exceedance=float((warr >= thresholds.vifnc).mean()) if len(vifs) else float("nan"),
+        vif_exceedance=float((varr >= thresholds.vif).mean()) if varr.size else float("nan"),
+        vifnc_exceedance=float((warr >= thresholds.vifnc).mean()) if varr.size else float("nan"),
     )
 
 

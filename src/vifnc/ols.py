@@ -158,7 +158,8 @@ def fit(data: DataMatrix, spec: ModelSpec, rank_rtol: float = DEFAULT_RANK_RTOL)
         internally; user data never needs to contain one except for the
         intercept-trick path, which passes it as a named regressor.
     rank_rtol : float
-        Rank tolerance forwarded to the solver.
+        Rank tolerance forwarded to the solver: a singular value of the
+        design below ``rank_rtol`` times the largest counts as zero.
 
     Raises
     ------

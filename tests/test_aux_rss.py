@@ -1,0 +1,233 @@
+"""The auxiliary-RSS kernel against a 50-digit projection, across a conditioning sweep.
+
+``aux_rss`` reads the RSS of every column on all the others off one QR
+factor and the SVD of that factor with unit-length columns. The reference
+here projects each column on the span of the others by twice-iterated
+modified Gram-Schmidt in 50-digit ``mpmath`` arithmetic, dropping a column
+whose residual is below 1e-30 of its norm (an exact relation).
+
+The sweep draws n from 8 to 30 and k from 3 to 6, scales each column by
+10^U(-6, 6), and plants one relation among the columns:
+
+* ``near``: the last column is a combination of others plus noise, sized
+  so that the design with unit-length columns has condition 1e2 .. 1e14.
+  Up to 1e12 the relation is kept and every RSS must match the reference
+  on the stored data. At 1e14 it falls under the rank cut: the columns in
+  the relation must read 0, and the rest must match the reference with
+  the relation made exact.
+* ``exact``: the last column is the combination, rounded once.
+* ``mixed``: an exact relation among three columns beside a near relation
+  (condition 1e2 .. 1e12) between two others. The near pair must stay
+  finite; a fixed null-weight cut of 1e-26 would turn it to 0 from
+  condition 1e4 up.
+
+Tolerance. A backward-stable route gets an RSS to about eps times the
+condition of the kept part of the spectrum. Over 350 designs from these
+generators the worst error was 2.1 eps * cond where every relation was
+kept, 7.4 eps * cond beside an exact relation and 11.5 eps * cond where a
+near relation at 1e14 was cut. TOL_FACTOR = 100 leaves an 8x margin; a
+defect such as a missing rescale or a wrong null-weight rule moves an RSS
+by orders of magnitude or to 0.
+
+The same designs fix the kernel's two cut-offs (see ``aux_rss``): the
+numerical rank at 1e-13 of the largest singular value, and the
+null-weight rule ``w_j > (1e-13 s_1)^2 g_j``, a factor (1e-13/eps)^2 =
+2e5 above ``(eps s_1)^2 g_j``. Columns outside a relation carried at
+most 169 (eps s_1)^2 g_j of null weight (15 beside an exact relation),
+and columns inside one at least 1.5e13 (eps s_1)^2 g_j.
+"""
+
+import numpy as np
+import pytest
+
+from vifnc.errors import TooFewObservations
+from vifnc.linalg import SCALED_RANK_RTOL, aux_rss
+
+mpmath = pytest.importorskip("mpmath")
+
+DPS = 50
+EPS = float(np.finfo(float).eps)
+TOL_FACTOR = 100.0
+
+
+def reference_rss(columns):
+    """50-digit RSS of each column (lists of mpf) on the span of the others."""
+    out = []
+    with mpmath.workdps(DPS):
+        drop = mpmath.mpf(10) ** -30
+
+        def reduce(vector, basis):
+            for _ in range(2):
+                for b in basis:
+                    dot = mpmath.fdot(b, vector)
+                    vector = [v - dot * e for v, e in zip(vector, b)]
+            return vector
+
+        for j in range(len(columns)):
+            basis = []
+            for i, column in enumerate(columns):
+                if i == j:
+                    continue
+                q = reduce(list(column), basis)
+                norm = mpmath.sqrt(mpmath.fdot(q, q))
+                if norm > drop * mpmath.sqrt(mpmath.fdot(column, column)):
+                    basis.append([v / norm for v in q])
+            residual = reduce(list(columns[j]), basis)
+            out.append(float(mpmath.fdot(residual, residual)))
+    return np.array(out)
+
+
+def as_mp(column):
+    return [mpmath.mpf(float(v)) for v in column]
+
+
+def combination(columns, members, coef):
+    """The exact (50-digit) combination of float columns with float coefficients."""
+    with mpmath.workdps(DPS):
+        return [
+            mpmath.fsum(mpmath.mpf(float(c)) * columns[m][r] for c, m in zip(coef, members))
+            for r in range(len(columns[0]))
+        ]
+
+
+def sweep_design(seed, log_cond, kind):
+    """Float design, reference columns, and the columns of the relation that must read 0."""
+    rng = np.random.default_rng(seed)
+    n, k = int(rng.integers(8, 31)), int(rng.integers(3, 7))
+    X = rng.normal(rng.uniform(-3, 3, k), rng.uniform(0.5, 3, k), (n, k))
+    X *= 10.0 ** rng.uniform(-6, 6, k)
+    norms = np.linalg.norm(X, axis=0)
+    columns = [as_mp(c) for c in X.T]
+    members = rng.choice(k - 1, size=int(rng.integers(1, k)), replace=False)
+    # comparable contributions: a relation carried below rounding is no relation
+    coef = rng.normal(size=members.size) * norms[-1] / norms[members]
+    exact = combination(columns, members, coef)
+    X[:, -1] = [float(v) for v in exact]
+    if kind == "near":
+        noise = rng.normal(size=n) * 10.0**-log_cond * np.linalg.norm(X[:, -1]) / np.sqrt(n)
+        X[:, -1] += noise
+    cut = kind == "exact" or log_cond > 13
+    columns[-1] = exact if cut else as_mp(X[:, -1])
+    zero = set(members.tolist()) | {k - 1} if cut else set()
+    return X, columns, zero
+
+
+def mixed_design(seed, log_cond):
+    """Exact relation x2 = c0 x0 + c1 x1 beside the near relation x4 ~ 2.5 x3."""
+    rng = np.random.default_rng(seed)
+    n, k = int(rng.integers(10, 31)), int(rng.integers(5, 8))
+    X = rng.normal(rng.uniform(-3, 3, k), rng.uniform(0.5, 3, k), (n, k))
+    X *= 10.0 ** rng.uniform(-6, 6, k)
+    norms = np.linalg.norm(X, axis=0)
+    X[:, 4] = 2.5 * X[:, 3] * (1.0 + 10.0**-log_cond * rng.normal(size=n))
+    columns = [as_mp(c) for c in X.T]
+    columns[2] = combination(columns, [0, 1], rng.normal(size=2) * norms[2] / norms[:2])
+    X[:, 2] = [float(v) for v in columns[2]]
+    return X, columns, {0, 1, 2}
+
+
+def kept_condition(X, rank):
+    s = np.linalg.svd(X / np.linalg.norm(X, axis=0), compute_uv=False)
+    return s[0] / s[rank - 1]
+
+
+def check_against_reference(X, columns, zero):
+    rss, rank = aux_rss(X)
+    assert rank == X.shape[1] - (1 if zero else 0)
+    reference = reference_rss(columns)
+    bound = TOL_FACTOR * EPS * kept_condition(X, rank)
+    for j in range(X.shape[1]):
+        if j in zero:
+            assert rss[j] == 0.0, f"column {j} of the relation reads {rss[j]!r}"
+        else:
+            assert rss[j] == pytest.approx(reference[j], rel=bound), f"column {j}"
+
+
+@pytest.mark.parametrize("log_cond", [2, 4, 6, 8, 10, 12, 14])
+@pytest.mark.parametrize("seed", range(5))
+def test_near_relations_match_reference(seed, log_cond):
+    check_against_reference(*sweep_design(100 * seed + log_cond, log_cond, "near"))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_exact_relations_read_zero_and_leave_the_rest_exact(seed):
+    check_against_reference(*sweep_design(1000 + seed, 0, "exact"))
+
+
+@pytest.mark.parametrize("log_cond", [2, 4, 6, 8, 10, 12])
+@pytest.mark.parametrize("seed", range(3))
+def test_near_relation_beside_exact_one_stays_finite(seed, log_cond):
+    check_against_reference(*mixed_design(7 * seed + log_cond, log_cond))
+
+
+def cond_4e16_design(n=20, seed=4):
+    """``[1, a, 5 + 1e-8 c, c]``: b carries c only in its last eight digits."""
+    rng = np.random.default_rng(seed)
+    a, c = rng.normal(size=n), rng.normal(size=n)
+    return np.column_stack([np.ones(n), a, 5.0 + 1e-8 * c, c])
+
+
+def test_relation_at_rounding_level_reads_zero():
+    X = cond_4e16_design()
+    assert np.linalg.cond(X) > 1e16
+    rss, rank = aux_rss(X)
+    assert rank == 3
+    assert rss[[0, 2, 3]].tolist() == [0.0, 0.0, 0.0]
+    # a lies outside the relation: its RSS is that of a on [1, c]
+    reference = reference_rss([as_mp(X[:, i]) for i in (1, 0, 3)])[0]
+    assert rss[1] == pytest.approx(reference, rel=1e-12)
+
+
+def test_partial_duplicate_leaves_the_other_column_exact():
+    rng = np.random.default_rng(11)
+    x1, x3 = rng.normal(3.0, 1.0, 20), rng.normal(-1.0, 2.0, 20)
+    X = np.column_stack([np.ones(20), x1, 2.0 * x1, x3])
+    rss, rank = aux_rss(X)
+    assert rank == 3
+    assert rss[[1, 2]].tolist() == [0.0, 0.0]
+    _, residual, *_ = np.linalg.lstsq(X[:, :2], x3, rcond=None)
+    assert rss[3] == pytest.approx(float(residual[0]), rel=1e-10)
+
+
+def test_zero_column_among_others_is_not_divided_by():
+    rng = np.random.default_rng(2)
+    a, c = rng.normal(size=12), rng.normal(size=12)
+    with np.errstate(all="raise"):
+        rss, rank = aux_rss(np.column_stack([a, np.zeros(12), c]))
+        alone, _ = aux_rss(np.column_stack([a, c]))
+    assert rank == 2
+    assert rss[1] == 0.0
+    assert rss[[0, 2]] == pytest.approx(alone, rel=1e-13)
+
+
+def test_stack_matches_one_design_at_a_time():
+    rng = np.random.default_rng(9)
+    stack = rng.normal(4.0, 4.0, (6, 15, 3))
+    stack[2, :, 2] = stack[2, :, 0]  # one replication with a duplicate column
+    rss, rank = aux_rss(stack)
+    assert rss.shape == (6, 3) and rank.shape == (6,)
+    for design, row, r in zip(stack, rss, rank):
+        single, single_rank = aux_rss(design)
+        assert single_rank == r
+        assert row == pytest.approx(single, rel=1e-14, abs=0.0)
+
+
+def test_rank_cut_follows_the_scaled_spectrum():
+    # one relative cut on unit-length columns: the units of a column do not move it
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(30, 2))
+    near = x @ [1.0, 2.0] + 1e-11 * rng.normal(size=30)
+    for scale in (1e-6, 1.0, 1e6):
+        X = np.column_stack([x, scale * near])
+        assert aux_rss(X)[1] == 3
+        assert aux_rss(X, rank_rtol=1e-9)[1] == 2
+    assert SCALED_RANK_RTOL < 1e-12
+
+
+def test_too_few_observations():
+    rng = np.random.default_rng(1)
+    # two rows, three columns: every auxiliary regression is square and fits exactly
+    rss, rank = aux_rss(rng.normal(size=(2, 3)))
+    assert rank == 2 and rss.tolist() == [0.0, 0.0, 0.0]
+    with pytest.raises(TooFewObservations):
+        aux_rss(rng.normal(size=(2, 4)))

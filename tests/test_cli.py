@@ -3,9 +3,10 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 
-from vifnc import belsley, load_csv, save_csv, to_csv
+from vifnc import DataMatrix, belsley, load_csv, save_csv, to_csv
 from vifnc.cli import main
 
 BELSLEY_CSV = to_csv(belsley())
@@ -147,6 +148,51 @@ class TestDiagnose:
         rows = {row["variable"]: row for row in json.loads(out)["rows"]}
         assert rows["X1"]["vif"] is None
         assert rows["X1"]["vifnc"] == pytest.approx(400031.4, rel=5e-3)
+
+
+    def test_partial_duplicate_keeps_the_computable_row(self, tmp_path, capsys):
+        rng = np.random.default_rng(21)
+        x1, x3 = rng.normal(3.0, 1.0, 20), rng.normal(-1.0, 2.0, 20)
+        path = tmp_path / "partial.csv"
+        columns = {"y": rng.normal(size=20), "x1": x1, "x2": 2.0 * x1, "x3": x3}
+        save_csv(DataMatrix.from_columns(columns), path)
+        code, out, err = run_cli(
+            capsys, "diagnose", str(path), "--dependent", "y", "--intercept", "--format", "json"
+        )
+        assert (code, err) == (0, "")
+        rows = {row["variable"]: row for row in json.loads(out)["rows"]}
+        for name in ("x1", "x2"):
+            for key in ("vif", "vifnc", "stewart_k2"):
+                assert rows[name][key] == {"value": None, "infinite": True}
+
+        def rss(*columns):
+            A = np.column_stack(columns)
+            residual = x3 - A @ np.linalg.lstsq(A, x3, rcond=None)[0]
+            return float(residual @ residual)
+
+        centered = float(((x3 - x3.mean()) ** 2).sum())
+        vif_x3 = centered / rss(np.ones(20), x1, 2.0 * x1)
+        assert rows["x3"]["vif"] == pytest.approx(vif_x3, rel=1e-10)
+        assert rows["x3"]["vifnc"] == pytest.approx(float(x3 @ x3) / rss(x1, 2.0 * x1), rel=1e-10)
+
+    def test_relation_at_rounding_level_reads_inf(self, tmp_path, capsys):
+        # b = 5 + 1e-8 c carries c in its last eight digits; cond(design) ~ 4e16
+        rng = np.random.default_rng(4)
+        a, c = rng.normal(size=20), rng.normal(size=20)
+        b = 5.0 + 1e-8 * c
+        columns = {"y": rng.normal(size=20), "one": np.ones(20), "a": a, "b": b, "c": c}
+        path = tmp_path / "rounding.csv"
+        save_csv(DataMatrix.from_columns(columns), path)
+        code, out, _ = run_cli(
+            capsys, "diagnose", str(path), "--dependent", "y", "--no-intercept", "--format", "json"
+        )
+        assert code == 0
+        rows = {row["variable"]: row for row in json.loads(out)["rows"]}
+        for name in ("one", "b", "c"):
+            assert rows[name]["vifnc"] == {"value": None, "infinite": True}
+            assert rows[name]["stewart_k2"] == {"value": None, "infinite": True}
+        for key in ("vif", "vifnc", "stewart_k2"):
+            assert isinstance(rows["a"][key], float) and rows["a"][key] < 2.0
 
 
 class TestReplicate:

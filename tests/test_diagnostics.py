@@ -23,6 +23,7 @@ from vifnc.errors import (
     ConstantRegressor,
     NoConstantColumn,
     RankDeficient,
+    TooFewObservations,
     ZeroColumn,
 )
 
@@ -269,6 +270,15 @@ class TestVarianceFactors:
         with pytest.raises(RankDeficient):
             variance_factors(data, ModelSpec("y", ("a", "b"), intercept=False))
 
+    def test_relation_at_rounding_level_rejected(self):
+        rng = np.random.default_rng(4)
+        a, c = rng.normal(size=20), rng.normal(size=20)
+        data = DataMatrix.from_columns(
+            {"y": rng.normal(size=20), "one": np.ones(20), "a": a, "b": 5.0 + 1e-8 * c, "c": c}
+        )
+        with pytest.raises(RankDeficient):
+            variance_factors(data, ModelSpec("y", ("one", "a", "b", "c"), intercept=False))
+
 
 class TestInterceptTrick:
     def test_belsley_triple(self, belsley_data):
@@ -365,6 +375,38 @@ class TestFullReport:
         assert rows["X2"].essential_suspect  # 1.155 >= 1.1
         assert not rows["X2"].nonessential_suspect  # vif already fired
         assert rows["X4"].essential_suspect
+
+    def test_two_dimensional_null_space_spares_the_column_outside_it(self):
+        rng = np.random.default_rng(8)
+        a, d = rng.normal(2.0, 1.0, 15), rng.normal(-1.0, 1.0, 15)
+        data = DataMatrix.from_columns(
+            {"y": rng.normal(size=15), "a": a, "b": 2.0 * a, "c": 4.0 * a, "d": d}
+        )
+        rows = {r.variable: r for r in full_report(data, ModelSpec("y", ("a", "b", "c", "d"))).rows}
+        for name in "abc":
+            assert math.isinf(rows[name].vif) and math.isinf(rows[name].vifnc)
+        assert rows["d"].vif == pytest.approx(vif(data, "d", ["a"]), rel=1e-10)
+        assert rows["d"].vifnc == pytest.approx(vifnc(data, "d", ["a"]), rel=1e-10)
+        # with every regressor in the null space no row is computable
+        with pytest.raises(RankDeficient, match="singular"):
+            full_report(data, ModelSpec("y", ("a", "b", "c")))
+
+    def test_zero_column_named_before_any_singular_verdict(self):
+        rng = np.random.default_rng(6)
+        a = rng.normal(size=10)
+        data = DataMatrix.from_columns(
+            {"y": rng.normal(size=10), "a": a, "z": np.zeros(10), "b": 2 * a}
+        )
+        with pytest.raises(ZeroColumn, match="'z'"):
+            full_report(data, ModelSpec("y", ("a", "z", "b")))
+
+    def test_too_few_observations(self):
+        data = random_data(3, n=3, k=5)
+        # each centered auxiliary regression has 1 + 2 columns: square, so a perfect fit
+        rows = full_report(data, ModelSpec("x0", ("x1", "x2", "x3"))).rows
+        assert all(math.isinf(row.vif) for row in rows)
+        with pytest.raises(TooFewObservations):
+            full_report(data, ModelSpec("x0", ("x1", "x2", "x3", "x4")))
 
 
 class TestZeroMeanCollapse:

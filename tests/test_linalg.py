@@ -72,6 +72,16 @@ def test_rank_tolerance_is_configurable():
     assert solve_least_squares(A, [1.0, 1.0], rank_rtol=1e-6).rank == 1
 
 
+def test_rank_catches_relation_at_rounding_level():
+    # [1, a, 5 + 1e-8 c, c]: cond ~ 4e16, yet no R diagonal falls below 1e-10 of the largest
+    rng = np.random.default_rng(4)
+    a, c = rng.normal(size=20), rng.normal(size=20)
+    A = np.column_stack([np.ones(20), a, 5.0 + 1e-8 * c, c])
+    sol = solve_least_squares(A, rng.normal(size=20))
+    assert sol.rank == 3
+    assert sol.rank_deficient
+
+
 def test_input_validation():
     with pytest.raises(NonFiniteInput):
         solve_least_squares([[1.0], [np.nan]], [1.0, 2.0])

@@ -1,8 +1,20 @@
 import math
 
+import numpy as np
 import pytest
 
-from vifnc import ScenarioSpec, Thresholds, parse_scenario_config, run_scenario
+from vifnc import (
+    DataMatrix,
+    GeneratorSpec,
+    ScenarioSpec,
+    Thresholds,
+    derive_seed,
+    generate_normal_column,
+    parse_scenario_config,
+    run_scenario,
+    vif,
+    vifnc,
+)
 from vifnc.errors import ConfigError
 
 
@@ -108,6 +120,75 @@ class TestRunScenario:
     def test_custom_thresholds_move_exceedance(self):
         summary = run_scenario(nonessential(), Thresholds(vif=1.0, vifnc=1.0))
         assert summary.vif_exceedance == 1.0
+
+
+def one_replication(spec, r):
+    """Replication r of ``spec`` as a DataMatrix, and the column diagnosed by default."""
+    seed = derive_seed(spec.master_seed, r)
+
+    def column(index, mean, variance):
+        return generate_normal_column(
+            GeneratorSpec(n=spec.n, mean=mean, variance=variance, seed=derive_seed(seed, index))
+        )
+
+    if spec.kind == "independent":
+        return DataMatrix.from_columns({f"x{i + 1}": column(i, 4.0, 16.0) for i in range(3)}), "x1"
+    if spec.kind == "essential":
+        z = column(0, 4.0, 16.0)
+        x = spec.lam * z + column(1, 0.0, spec.noise_sd**2)
+        return DataMatrix.from_columns({"z": z, "x": x}), "x"
+    noise = spec.noise_sd**2
+    return DataMatrix.from_columns(
+        {"a": spec.base + column(0, 0.0, noise), "b": spec.base + column(1, 0.0, noise)}
+    ), "a"
+
+
+@pytest.mark.parametrize("full_sweep", [False, True])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ScenarioSpec(kind="independent", n=20, replications=40, master_seed=3),
+        ScenarioSpec(
+            kind="essential", n=20, replications=40, master_seed=5, lam=1.0, noise_sd=0.05
+        ),
+        nonessential(replications=40, seed=9),
+        nonessential(replications=40, seed=9, noise_sd=1e-5),
+        nonessential(replications=10, noise_sd=1e-9),
+    ],
+    ids=["independent", "essential", "nonessential", "nonessential-tight", "degenerate"],
+)
+def test_stacked_run_matches_one_replication_at_a_time(spec, full_sweep):
+    thresholds = Thresholds()
+    vifs, vifncs, failed = [], [], 0
+    for r in range(spec.replications):
+        data, designated = one_replication(spec, r)
+        pairs = []
+        for name in data.names if full_sweep else (designated,):
+            rest = [o for o in data.names if o != name]
+            pairs.append((vif(data, name, rest), vifnc(data, name, rest)))
+        if any(math.isinf(v) or math.isinf(w) for v, w in pairs):
+            failed += 1
+            continue
+        vifs += [v for v, _ in pairs]
+        vifncs += [w for _, w in pairs]
+
+    summary = run_scenario(spec, thresholds, full_sweep=full_sweep)
+    assert (summary.n_success, summary.n_failed) == (spec.replications - failed, failed)
+    for label, values, threshold in (
+        ("vif", vifs, thresholds.vif),
+        ("vifnc", vifncs, thresholds.vifnc),
+    ):
+        stats = getattr(summary, f"{label}_stats")
+        if not values:
+            assert math.isnan(stats.median) and math.isnan(getattr(summary, f"{label}_exceedance"))
+            continue
+        values = np.array(values)
+        assert getattr(summary, f"{label}_exceedance") == float((values >= threshold).mean())
+        # both routes are accurate to about eps * cond, and cond ~ sqrt(VIF)
+        rel = max(1e-12, 10 * np.finfo(float).eps * math.sqrt(values.max()))
+        assert stats.mean == pytest.approx(values.mean(), rel=rel)
+        assert stats.p95 == pytest.approx(np.percentile(values, 95), rel=rel)
+        assert stats.max == pytest.approx(values.max(), rel=rel)
 
 
 class TestConfigParsing:
