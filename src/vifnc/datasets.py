@@ -8,6 +8,9 @@ float64, so load -> serialize -> load is bit-exact.
 Random normal columns come from SplitMix64 uniforms pushed through
 Box-Muller with a fixed consumption order, making every draw reproducible
 from the seed alone on any platform (no dependence on a vendor RNG).
+SplitMix64 is counter-based: its j-th state is ``seed + j*gamma mod 2**64``,
+so the draws of many seeds are computed at once in ``uint64`` arrays, bit
+for bit equal to stepping the scalar :class:`SplitMix64` one call at a time.
 """
 
 from __future__ import annotations
@@ -153,8 +156,10 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("need n >= 2")
-        if not self.variance > 0:
-            raise ValueError("variance must be positive")
+        if not math.isfinite(self.mean):
+            raise ValueError(f"mean must be finite, got {self.mean!r}")
+        if not 0 < self.variance < math.inf:
+            raise ValueError(f"variance must be positive and finite, got {self.variance!r}")
         object.__setattr__(self, "seed", int(self.seed) & _MASK64)
 
 
@@ -162,7 +167,8 @@ class SplitMix64:
     """SplitMix64 (Steele, Lea & Flood): 64-bit mix with golden-gamma steps.
 
     Chosen because the whole algorithm fits in a dozen lines and is
-    trivially portable, so a seed means the same stream everywhere.
+    trivially portable, so a seed means the same stream everywhere. This
+    scalar form is the reference that the array kernel below reproduces.
     """
 
     def __init__(self, seed: int):
@@ -196,15 +202,60 @@ def generate_normal_column(spec: GeneratorSpec) -> np.ndarray:
     (u1, u2), each pair yields the cosine variate then the sine variate,
     and an odd n discards the final sine variate.
     """
-    rng = SplitMix64(spec.seed)
-    sd = math.sqrt(spec.variance)
-    out = np.empty(spec.n)
-    for i in range(0, spec.n, 2):
-        u1 = rng.uniform()
-        u2 = rng.uniform()
-        radius = math.sqrt(-2.0 * math.log(u1))
-        theta = 2.0 * math.pi * u2
-        out[i] = spec.mean + sd * radius * math.cos(theta)
-        if i + 1 < spec.n:
-            out[i + 1] = spec.mean + sd * radius * math.sin(theta)
+    return _normal_columns(np.array([spec.seed], np.uint64), spec.n, spec.mean, spec.variance)[0]
+
+
+# Array form. uint64 arithmetic wraps mod 2**64, which is SplitMix64's own
+# arithmetic; ``errstate`` only silences NumPy's overflow warning on scalars.
+
+
+def _u64(value) -> np.ndarray:
+    """A uint64 array as it is; a Python int reduced mod 2**64 like the scalar API."""
+    return value if isinstance(value, np.ndarray) else np.uint64(int(value) & _MASK64)
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's output function on a uint64 array of states."""
+    with np.errstate(over="ignore"):
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _derive_seeds(master_seeds, indices) -> np.ndarray:
+    """:func:`derive_seed` elementwise, broadcasting ``master_seeds`` against ``indices``."""
+    with np.errstate(over="ignore"):
+        return _mix(_u64(master_seeds) + (_u64(indices) + np.uint64(1)) * np.uint64(_GOLDEN))
+
+
+def _normal_columns(seeds: np.ndarray, n: int, mean: float, variance: float) -> np.ndarray:
+    """``generate_normal_column`` for every seed of a uint64 array, as rows of an (S, n) array.
+
+    Row s is bit-equal to the scalar stream of ``seeds[s]``: the states
+    ``seed + j*gamma`` for j = 1..2*ceil(n/2) are mixed, u1 and u2 are the
+    odd and even steps, and every float operation is the scalar one in the
+    same order. ``log``, ``cos`` and ``sin`` go through ``math`` per
+    element, because NumPy's vectorized versions may differ from the C
+    library in the last bit; ``np.sqrt`` is correctly rounded, as is
+    ``math.sqrt``.
+    """
+    pairs = (n + 1) // 2
+    steps = np.arange(1, 2 * pairs + 1, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        states = seeds[:, None] + steps * np.uint64(_GOLDEN)
+    # (z >> 11) + 1 <= 2**53 converts to float64 exactly
+    u = ((_mix(states) >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * 2.0**-53
+    u1, u2 = u[:, 0::2], u[:, 1::2]
+    radius = np.sqrt(-2.0 * _libm(math.log, u1))
+    theta = 2.0 * math.pi * u2
+    scaled = math.sqrt(variance) * radius
+    out = np.empty((seeds.size, n))
+    out[:, 0::2] = mean + scaled * _libm(math.cos, theta)
+    out[:, 1::2] = mean + scaled[:, : n // 2] * _libm(math.sin, theta[:, : n // 2])
     return out
+
+
+def _libm(func, values: np.ndarray) -> np.ndarray:
+    """``func`` from ``math`` applied to every element of ``values``."""
+    flat = map(func, values.ravel().tolist())
+    return np.fromiter(flat, np.float64, values.size).reshape(values.shape)

@@ -16,12 +16,15 @@ Three design recipes:
 
 Each replication derives its own child seed from (master_seed, index), so
 results never depend on execution order. The replications' designs go into
-one stacked array, and both diagnostics of every replication come from two
+one stacked array: each column index is drawn for every replication in one
+call of the array generator, bit-equal to drawing each replication's
+columns one at a time. Both diagnostics of every replication come from two
 calls of the auxiliary-RSS kernel: one on ``[1, X]`` and one on ``X``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,7 +32,7 @@ import numpy as np
 
 from .diagnostics import DEFAULT_PERFECT_TOL, Thresholds, _ratio_or_inf
 from .errors import ConfigError
-from .datasets import GeneratorSpec, derive_seed, generate_normal_column
+from .datasets import _derive_seeds, _normal_columns
 from .linalg import aux_rss
 
 KINDS = ("independent", "essential", "nonessential")
@@ -65,8 +68,14 @@ class ScenarioSpec:
         if self.kind == "nonessential":
             if self.base is None or self.noise_sd is None:
                 raise ValueError("nonessential scenario needs base and noise_sd")
+        # named by their config keys, so a ConfigError points at the line to fix
+        for key, value in (("lambda", self.lam), ("noise_sd", self.noise_sd), ("base", self.base)):
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value!r}")
         if self.noise_sd is not None and not self.noise_sd > 0:
             raise ValueError("noise_sd must be positive")
+        if self.noise_sd is not None and not 0 < self.noise_sd * self.noise_sd < math.inf:
+            raise ValueError(f"noise_sd must have a positive finite square, got {self.noise_sd!r}")
 
 
 @dataclass(frozen=True)
@@ -104,27 +113,26 @@ _WIDTH = {"independent": 3, "essential": 2, "nonessential": 2}
 _DESIGNATED = {"independent": 0, "essential": 1, "nonessential": 0}
 
 
-def _generate(spec: ScenarioSpec, seed: int, out: np.ndarray) -> None:
-    """Write one replication's regressors into the ``(n, width)`` array ``out``.
+def _generate(spec: ScenarioSpec, seeds: np.ndarray, out: np.ndarray) -> None:
+    """Write every replication's regressors into the ``(replications, n, width)`` array ``out``.
 
-    independent: x1, x2, x3; essential: z, x = lambda*z + noise;
-    nonessential: a, b = base + noise.
+    Replication r's column ``index`` is the normal column of seed
+    ``derive_seed(seeds[r], index)``. independent: x1, x2, x3; essential:
+    z, x = lambda*z + noise; nonessential: a, b = base + noise.
     """
     def column(index: int, mean: float, variance: float) -> np.ndarray:
-        return generate_normal_column(
-            GeneratorSpec(n=spec.n, mean=mean, variance=variance, seed=derive_seed(seed, index))
-        )
+        return _normal_columns(_derive_seeds(seeds, index), spec.n, mean, variance)
 
     if spec.kind == "independent":
         for index in range(3):
-            out[:, index] = column(index, 4.0, 16.0)
+            out[:, :, index] = column(index, 4.0, 16.0)
     elif spec.kind == "essential":
         z = column(0, 4.0, 16.0)
-        out[:, 0] = z
-        out[:, 1] = spec.lam * z + column(1, 0.0, spec.noise_sd**2)
+        out[:, :, 0] = z
+        out[:, :, 1] = spec.lam * z + column(1, 0.0, spec.noise_sd**2)
     else:
-        out[:, 0] = spec.base + column(0, 0.0, spec.noise_sd**2)
-        out[:, 1] = spec.base + column(1, 0.0, spec.noise_sd**2)
+        out[:, :, 0] = spec.base + column(0, 0.0, spec.noise_sd**2)
+        out[:, :, 1] = spec.base + column(1, 0.0, spec.noise_sd**2)
 
 
 def _stats(values: np.ndarray) -> DiagnosticStats:
@@ -151,8 +159,9 @@ def run_scenario(
     """Run all replications and aggregate.
 
     Replication r uses child seed ``derive_seed(master_seed, r)``; the
-    sample is collected in replication order and summarized at the end,
-    so any execution schedule would give the same summary.
+    designs of all replications are drawn together, one generator call
+    per column index, and summarized at the end, so the summary is a
+    function of the seed alone.
 
     By default only the structurally collinear column is diagnosed, which
     keeps the summary interpretable. ``full_sweep`` instead pools the
@@ -163,8 +172,8 @@ def run_scenario(
     """
     designs = np.empty((spec.replications, spec.n, 1 + _WIDTH[spec.kind]))
     designs[:, :, 0] = 1.0
-    for r in range(spec.replications):
-        _generate(spec, derive_seed(spec.master_seed, r), designs[r, :, 1:])
+    seeds = _derive_seeds(spec.master_seed, np.arange(spec.replications, dtype=np.uint64))
+    _generate(spec, seeds, designs[:, :, 1:])
     x = designs[:, :, 1:]
     tss = np.einsum("rij,rij->rj", x, x)
     tss_centered = ((x - x.mean(axis=1, keepdims=True)) ** 2).sum(axis=1)
@@ -186,7 +195,7 @@ def run_scenario(
         vif_stats=_stats(varr),
         vifnc_stats=_stats(warr),
         vif_exceedance=float((varr >= thresholds.vif).mean()) if varr.size else float("nan"),
-        vifnc_exceedance=float((warr >= thresholds.vifnc).mean()) if varr.size else float("nan"),
+        vifnc_exceedance=float((warr >= thresholds.vifnc).mean()) if warr.size else float("nan"),
     )
 
 

@@ -1,7 +1,9 @@
+import hashlib
 import io
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -277,6 +279,30 @@ class TestMontecarlo:
         code, _, err = run_cli(capsys, "montecarlo", str(config))
         assert code == 2
         assert "master_seed" in err
+
+
+# SHA-256 of `vifnc montecarlo` stdout for the shipped configs, taken from
+# the per-replication scalar generator: the array generator must reproduce
+# every byte in every format.
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "demos" / "configs"
+MONTECARLO_GOLDENS = [
+    ("essential", "text", "16b986f47aa2d2635db9e4ec381c889323026505402bce97ff4f11c604c5922f"),
+    ("essential", "json", "9dac00ca2bb4c21e84875bbe5457057c7665dae430a5cf39cea4ee49628b6584"),
+    ("essential", "csv", "d0c51ecd2a74f4da3a48540b7ec0574f69002ed3d48d67c288d4131d140bf82d"),
+    ("independent", "text", "f44c786d41049d90ff1dfcc2d592ab31b891429f2f33edbcd01172df6a316652"),
+    ("independent", "json", "9a973a959cf9fca7016da5ea547d6de778b56070882e3783bcf6f27eeda679e6"),
+    ("independent", "csv", "1d2c927730090a5473a81012e38d8ff6d2cc162b0a8f6cb420df2403444b911d"),
+    ("nonessential", "text", "cb2fcc258b3783841f7a06e7648fa1c4c266d9cd440a8fc747c4d46fc38a3552"),
+    ("nonessential", "json", "81a06561c6e3e3edfb394decf9b9f9544c9709c6c80a822a152b92de1fbd4a4a"),
+    ("nonessential", "csv", "34741ffda3531922f8127e6c3a136311b08aed947ca45eaf250eac0ef7851caf"),
+]
+
+
+@pytest.mark.parametrize("config, fmt, digest", MONTECARLO_GOLDENS)
+def test_shipped_config_output_is_byte_identical(config, fmt, digest, capsys):
+    code, out, _ = run_cli(capsys, "montecarlo", str(CONFIG_DIR / f"{config}.cfg"), "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_save_csv_roundtrip(tmp_path):

@@ -1,4 +1,6 @@
+import hashlib
 import io
+import math
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from vifnc import (
     load_csv,
     to_csv,
 )
+from vifnc.datasets import _derive_seeds, _normal_columns
 from vifnc.errors import DuplicateHeader, NonFiniteValue, ParseError, RaggedRow
 
 
@@ -168,6 +171,16 @@ class TestGenerator:
         with pytest.raises(ValueError):
             GeneratorSpec(n=5, mean=0.0, variance=0.0, seed=0)
 
+    @pytest.mark.parametrize("mean", [math.nan, math.inf, -math.inf])
+    def test_spec_rejects_nonfinite_mean(self, mean):
+        with pytest.raises(ValueError, match="mean"):
+            GeneratorSpec(n=5, mean=mean, variance=1.0, seed=0)
+
+    @pytest.mark.parametrize("variance", [math.nan, math.inf])
+    def test_spec_rejects_nonfinite_variance(self, variance):
+        with pytest.raises(ValueError, match="variance"):
+            GeneratorSpec(n=5, mean=0.0, variance=variance, seed=0)
+
     def test_seed_wraps_to_64_bits(self):
         small = GeneratorSpec(n=4, mean=0.0, variance=1.0, seed=7)
         wrapped = GeneratorSpec(n=4, mean=0.0, variance=1.0, seed=7 + 2**64)
@@ -198,3 +211,61 @@ class TestSplitMix:
         stream = SplitMix64(42)
         outputs = [stream.next_u64() for _ in range(6)]
         assert direct == outputs[5]
+
+
+# Seed->bits contract: SHA-256 of the little-endian float64 bytes of
+# generate_normal_column for fixed (n, mean, variance, seed). The values
+# were taken from the scalar SplitMix64/Box-Muller loop the array kernel
+# replaced; any change to a single output bit fails here.
+GENERATOR_GOLDENS = [
+    ((20, 4.0, 16.0, 7), "e2dbc3f65508cebe38b1f3b9c3fed8e17a3c5c13221997085b57e1686e1556be"),
+    ((1001, 0.0, 1.0, 2**64 - 1), "90707af5bf59f7d192ea8cc960572d37110390c56dfba8b82c83c6c29da93478"),
+    ((3, -2.5, 0.25, 0), "7dbc06bc8dfbcdb278a60f3794345acc02dc1457e683051c534f56e9b4a697f9"),
+]
+
+
+@pytest.mark.parametrize("args, digest", GENERATOR_GOLDENS)
+def test_generator_golden(args, digest):
+    column = generate_normal_column(GeneratorSpec(*args))
+    assert hashlib.sha256(column.astype("<f8").tobytes()).hexdigest() == digest
+
+
+def box_muller(seed, n, mean, variance):
+    """The scalar stream: uniforms in pairs, cosine variate then sine variate."""
+    rng = SplitMix64(seed)
+    sd = math.sqrt(variance)
+    out = []
+    while len(out) < n:
+        u1 = rng.uniform()
+        u2 = rng.uniform()
+        radius = math.sqrt(-2.0 * math.log(u1))
+        theta = 2.0 * math.pi * u2
+        out += [mean + sd * radius * math.cos(theta), mean + sd * radius * math.sin(theta)]
+    return out[:n]
+
+
+EDGE_SEEDS = [0, 1, 2**63, 2**64 - 1, 0x9E3779B97F4A7C15, 123456789]
+
+
+# sd = sqrt(variance) is not a power of two in the last two cases, so a
+# reassociated (sd * radius) * trig shows in the last bit
+@pytest.mark.parametrize("n", [2, 3, 7, 20, 101])
+@pytest.mark.parametrize(
+    "mean, variance", [(0.0, 1.0), (4.0, 16.0), (-2.5, 4e-6), (0.0, 3.0), (0.7, 0.3)]
+)
+def test_array_kernel_matches_scalar_stream(n, mean, variance):
+    seeds = EDGE_SEEDS + [derive_seed(n, i) for i in range(30)]
+    got = _normal_columns(np.array(seeds, dtype=np.uint64), n, mean, variance)
+    assert got.shape == (len(seeds), n)
+    for row, seed in zip(got, seeds):
+        assert row.tolist() == box_muller(seed, n, mean, variance)
+
+
+@pytest.mark.parametrize("master", [0, 7, -1, -(2**70) + 3, 2**64 - 1, 2**64, 2**64 + 5, 2**80])
+def test_array_seed_derivation_matches_derive_seed(master):
+    indices = np.arange(40, dtype=np.uint64)
+    children = _derive_seeds(master, indices)
+    assert children.dtype == np.uint64
+    assert children.tolist() == [derive_seed(master, i) for i in range(40)]
+    # second level: a stack of masters against one index, as Monte Carlo uses it
+    assert _derive_seeds(children, 2).tolist() == [derive_seed(int(c), 2) for c in children]

@@ -239,3 +239,24 @@ vifnc_threshold = 30
     def test_malformed_line(self):
         with pytest.raises(ConfigError, match="line 1"):
             parse_scenario_config("this is not a key value pair\n")
+
+    ESSENTIAL = "kind = essential\nn = 20\nreplications = 5\nmaster_seed = 1\n"
+    NONESSENTIAL = "kind = nonessential\nn = 20\nreplications = 5\nmaster_seed = 1\n"
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            (ESSENTIAL + "lambda = nan\nnoise_sd = 0.5\n", "lambda"),
+            (ESSENTIAL + "lambda = -inf\nnoise_sd = 0.5\n", "lambda"),
+            (ESSENTIAL + "lambda = 1\nnoise_sd = inf\n", "noise_sd"),
+            (NONESSENTIAL + "base = inf\nnoise_sd = 0.5\n", "base"),
+        ],
+    )
+    def test_nonfinite_parameter_named(self, text, key):
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            parse_scenario_config(text)
+
+    @pytest.mark.parametrize("noise_sd", ["1e200", "1e-200"])
+    def test_noise_variance_out_of_range_named(self, noise_sd):
+        with pytest.raises(ConfigError, match="noise_sd"):
+            parse_scenario_config(self.ESSENTIAL + f"lambda = 1\nnoise_sd = {noise_sd}\n")
