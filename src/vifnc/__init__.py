@@ -37,7 +37,7 @@ from .diagnostics import (
     vif,
     vifnc,
 )
-from .linalg import LeastSquaresSolution, cross_product, solve_least_squares
+from .linalg import LeastSquaresSolution, solve_least_squares
 from .montecarlo import (
     MonteCarloSummary,
     ScenarioSpec,
@@ -77,7 +77,6 @@ __all__ = [
     "auxiliary_regression",
     "belsley",
     "belsley_csv_path",
-    "cross_product",
     "derive_seed",
     "errors",
     "estimate_sigma2",

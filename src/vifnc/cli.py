@@ -13,9 +13,9 @@ from pathlib import Path
 
 from .datasets import load_csv
 from .diagnostics import AuxiliaryMode, Thresholds, auxiliary_regression, full_report
-from .errors import ConstantRegressor, RankDeficient, VifncError
+from .errors import RankDeficient, VifncError
 from .montecarlo import load_scenario_config, run_scenario
-from .ols import ModelSpec, r2_centered
+from .ols import ModelSpec
 from .replication import replication_table
 from .report import (
     OutputFormat,
@@ -62,18 +62,12 @@ def cmd_aux(args) -> int:
     data = load_csv(args.csv)
     mode = AuxiliaryMode(args.mode)
     regressors = _split_names(args.regressors) if args.regressors else None
-    column = data.column(args.column)
-    if mode is AuxiliaryMode.CENTERED and float(column.min()) == float(column.max()):
-        raise ConstantRegressor(
-            f"column {args.column!r} is constant; centered auxiliary regression is undefined"
-        )
     fit = auxiliary_regression(data, args.column, regressors, mode)
-    r2c = r2_centered(fit) if mode is AuxiliaryMode.CENTERED else None
     used = regressors if regressors is not None else tuple(
         name for name in data.names if name != args.column
     )
     label = f"{args.column} ~ {' + '.join(used)} ({mode.value})"
-    sys.stdout.write(render_fit(fit, label, fmt=args.format, r2_centered_value=r2c))
+    sys.stdout.write(render_fit(fit, label, fmt=args.format))
     return 0
 
 

@@ -55,11 +55,18 @@ class Thresholds:
 
     The conventional VIF cutoff of 10 is the default for both; no
     canonical VIFnc threshold exists, which is why both stay configurable
-    and the report carries a caveat saying so.
+    and the report carries a caveat saying so. ``inf`` never flags; NaN
+    raises ``ValueError``, since every comparison with it is false and it
+    would silently never flag either.
     """
 
     vif: float = 10.0
     vifnc: float = 10.0
+
+    def __post_init__(self) -> None:
+        for name in ("vif", "vifnc"):
+            if math.isnan(getattr(self, name)):
+                raise ValueError(f"{name}_threshold must be a number or inf, got nan")
 
 
 @dataclass(frozen=True)

@@ -204,19 +204,3 @@ def solve_least_squares(
         residual_norm=residual_norm,
         rank_deficient=rank < k,
     )
-
-
-def cross_product(A, B) -> np.ndarray:
-    """Return the cross-product matrix ``A.T @ B``.
-
-    Both operands must have the same row count; 1-d inputs are treated as
-    single columns, so ``cross_product(x, x)`` of an n-vector is the 1x1
-    matrix holding the sum of squares.
-    """
-    A = as_matrix(A, "A")
-    B = as_matrix(B, "B")
-    if A.shape[0] != B.shape[0]:
-        raise DimensionMismatch(
-            f"row counts differ: A has {A.shape[0]}, B has {B.shape[0]}"
-        )
-    return A.T @ B

@@ -257,12 +257,12 @@ def parse_scenario_config(text: str) -> tuple[ScenarioSpec, Thresholds]:
             noise_sd=as_float("noise_sd"),
             base=as_float("base"),
         )
+        thresholds = Thresholds(
+            vif=as_float("vif_threshold") if "vif_threshold" in entries else 10.0,
+            vifnc=as_float("vifnc_threshold") if "vifnc_threshold" in entries else 10.0,
+        )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    thresholds = Thresholds(
-        vif=as_float("vif_threshold") if "vif_threshold" in entries else 10.0,
-        vifnc=as_float("vifnc_threshold") if "vifnc_threshold" in entries else 10.0,
-    )
     return spec, thresholds
 
 

@@ -179,7 +179,9 @@ def fit(data: DataMatrix, spec: ModelSpec, rank_rtol: float = DEFAULT_RANK_RTOL)
     sol = solve_least_squares(X, y, rank_rtol=rank_rtol)
     fitted = X @ sol.coefficients
     residuals = y - fitted
-    ybar = float(y.mean())
+    # a constant column's float mean can miss the constant by an ulp, which
+    # would leave a centered TSS of ~1e-33 in place of the exact zero
+    ybar = float(y[0]) if y.min() == y.max() else float(y.mean())
     return FitResult(
         coefficients=sol.coefficients,
         coefficient_names=names,

@@ -1,22 +1,30 @@
 """Text/JSON/CSV renderers for reports, fits, and simulation summaries.
 
-Text output prints numbers to 7 significant digits, matching the
+Each renderer lists its fields once, as ``key -> value`` records (nested
+where the JSON nests), and hands them to three emitters that own every
+formatting rule. ``_emit_json`` keeps full round-trip precision, writes an
+undefined value (``None`` or NaN: the VIF of a constant column, a
+statistic over zero successes) as ``null`` and ``inf`` as
+``{"value": null, "infinite": true}``, because JSON has no infinity
+literal, and dumps with ``allow_nan=False``. ``_emit_csv`` quotes a cell
+only when it needs it (a name with a comma) and writes shortest
+round-trip decimals, ``0``/``1`` flags, ``NA`` and ``inf``. ``_emit_table``
+lays out ``(title, template)`` text columns to 7 significant digits, the
 precision the replication targets were published at, so values can be
-compared by eye. JSON keeps full round-trip precision; infinities become
-``{"value": null, "infinite": true}`` because JSON has no infinity
-literal, and they render as the string ``inf`` in text and CSV. An
-undefined quantity (VIF of a constant column) is ``null`` / ``NA``.
+compared by eye; ``NA`` and ``inf`` read as in CSV.
 """
 
 from __future__ import annotations
 
+import csv
 import enum
+import io
 import json
 import math
 
-from .diagnostics import CollinearityReport
+from .diagnostics import CollinearityReport, Thresholds
 from .montecarlo import MonteCarloSummary
-from .ols import FitResult, ModelSpec, r2_noncentered
+from .ols import FitResult, ModelSpec, r2_centered, r2_noncentered
 from .replication import ReplicationEntry
 
 VIFNC_THRESHOLD_CAVEAT = (
@@ -29,6 +37,17 @@ FLAG_CAVEAT = (
     "while VIF stayed quiet."
 )
 
+#: Record keys, which are also the attribute names they are read from.
+_ROW_FIELDS = (
+    "variable", "mean", "vif", "vifnc", "stewart_k2", "nonessential_term", "coef_variation",
+)
+_FLAG_FIELDS = ("essential_suspect", "nonessential_suspect")
+_STAT_FIELDS = ("mean", "median", "p90", "p95", "p99", "max")
+_ENTRY_FIELDS = ("label", "expected", "computed", "tolerance", "tolerance_kind", "error", "passed")
+
+#: Text column titles that differ from their record key.
+_SHORT_TITLES = {"nonessential_term": "noness_term", "coef_variation": "cv"}
+
 
 class OutputFormat(enum.Enum):
     TEXT = "text"
@@ -36,37 +55,70 @@ class OutputFormat(enum.Enum):
     CSV = "csv"
 
 
-def _text_num(x) -> str:
-    if x is None:
+def _undefined(value) -> bool:
+    return value is None or (isinstance(value, float) and math.isnan(value))
+
+
+def _json_value(value):
+    if isinstance(value, float):
+        if math.isnan(value):
+            return None
+        return {"value": None, "infinite": True} if math.isinf(value) else float(value)
+    if isinstance(value, dict):
+        return {key: _json_value(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_value(item) for item in value]
+    return value
+
+
+def _emit_json(payload) -> str:
+    return json.dumps(_json_value(payload), indent=2, allow_nan=False)
+
+
+def _cell(value) -> str:
+    if _undefined(value):
         return "NA"
-    if math.isinf(x):
-        return "inf"
-    return format(x, ".7g")
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
 
 
-def _csv_num(x) -> str:
-    if x is None:
+def _emit_csv(header, rows) -> str:
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_cell(value) for value in row] for row in rows)
+    return out.getvalue()
+
+
+def _text(value) -> str:
+    if _undefined(value):
         return "NA"
-    if math.isinf(x):
-        return "inf"
-    return repr(float(x))
+    if isinstance(value, str):
+        return value
+    return format(value, ".7g")
 
 
-def _json_num(x):
-    if x is None:
-        return None
-    if math.isinf(x):
-        return {"value": None, "infinite": True}
-    return float(x)
+def _emit_table(columns, rows) -> list[str]:
+    """A title line plus one line per row; ``columns`` are ``(title, template)`` pairs."""
+    lines = ["".join(template.format(title) for title, template in columns)]
+    for row in rows:
+        lines.append("".join(template.format(_text(v)) for (_, template), v in zip(columns, row)))
+    return lines
 
 
-def _flag_text(row) -> str:
-    parts = []
-    if row.essential_suspect:
-        parts.append("essential")
-    if row.nonessential_suspect:
-        parts.append("nonessential")
-    return ",".join(parts) if parts else "-"
+def _fields(obj, names) -> dict:
+    return {name: getattr(obj, name) for name in names}
+
+
+def _thresholds(thresholds: Thresholds) -> dict:
+    return {"vif": thresholds.vif, "vifnc": thresholds.vifnc}
+
+
+def _thresholds_line(thresholds: Thresholds) -> str:
+    return ", ".join(f"{key} >= {_text(value)}" for key, value in _thresholds(thresholds).items())
 
 
 def render_report(
@@ -75,234 +127,131 @@ def render_report(
     dataset: str,
     fmt: OutputFormat = OutputFormat.TEXT,
 ) -> str:
+    rows = [_fields(row, _ROW_FIELDS) for row in report.rows]
+    flags = [_fields(row, _FLAG_FIELDS) for row in report.rows]
+
     if fmt is OutputFormat.JSON:
-        payload = {
+        model = {"dependent": spec.dependent, "regressors": spec.regressors,
+                 "intercept": spec.intercept}
+        return _emit_json({
             "dataset": dataset,
-            "model": {
-                "dependent": spec.dependent,
-                "regressors": list(spec.regressors),
-                "intercept": spec.intercept,
-            },
-            "rows": [
-                {
-                    "variable": row.variable,
-                    "mean": _json_num(row.mean),
-                    "vif": _json_num(row.vif),
-                    "vifnc": _json_num(row.vifnc),
-                    "stewart_k2": _json_num(row.stewart_k2),
-                    "nonessential_term": _json_num(row.nonessential_term),
-                    "coef_variation": _json_num(row.coef_variation),
-                    "flags": {
-                        "essential_suspect": row.essential_suspect,
-                        "nonessential_suspect": row.nonessential_suspect,
-                    },
-                }
-                for row in report.rows
-            ],
-            "thresholds": {"vif": report.thresholds.vif, "vifnc": report.thresholds.vifnc},
+            "model": model,
+            "rows": [{**row, "flags": flag} for row, flag in zip(rows, flags)],
+            "thresholds": _thresholds(report.thresholds),
             "caveats": [VIFNC_THRESHOLD_CAVEAT, FLAG_CAVEAT],
-        }
-        return json.dumps(payload, indent=2)
+        })
 
     if fmt is OutputFormat.CSV:
-        header = (
-            "variable,mean,vif,vifnc,stewart_k2,nonessential_term,"
-            "coef_variation,essential_suspect,nonessential_suspect"
+        return _emit_csv(
+            _ROW_FIELDS + _FLAG_FIELDS,
+            ([*row.values(), *flag.values()] for row, flag in zip(rows, flags)),
         )
-        lines = [header]
-        for row in report.rows:
-            cells = [
-                row.variable,
-                _csv_num(row.mean),
-                _csv_num(row.vif),
-                _csv_num(row.vifnc),
-                _csv_num(row.stewart_k2),
-                _csv_num(row.nonessential_term),
-                _csv_num(row.coef_variation),
-                str(int(row.essential_suspect)),
-                str(int(row.nonessential_suspect)),
-            ]
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
 
     intercept = "intercept" if spec.intercept else "no intercept"
+    columns = [("variable", "{:<10}")]
+    columns += [(_SHORT_TITLES.get(key, key), " {:>12}") for key in _ROW_FIELDS[1:]]
+    columns.append(("flags", "  {}"))
     lines = [
         f"dataset: {dataset}",
         f"model: {spec.dependent} ~ {' + '.join(spec.regressors)} ({intercept})",
-        f"thresholds: vif >= {_text_num(report.thresholds.vif)}, "
-        f"vifnc >= {_text_num(report.thresholds.vifnc)}",
+        f"thresholds: {_thresholds_line(report.thresholds)}",
         "",
-        f"{'variable':<10} {'mean':>12} {'vif':>12} {'vifnc':>12} "
-        f"{'stewart_k2':>12} {'noness_term':>12} {'cv':>12}  flags",
     ]
-    for row in report.rows:
-        lines.append(
-            f"{row.variable:<10} {_text_num(row.mean):>12} {_text_num(row.vif):>12} "
-            f"{_text_num(row.vifnc):>12} {_text_num(row.stewart_k2):>12} "
-            f"{_text_num(row.nonessential_term):>12} {_text_num(row.coef_variation):>12}  "
-            f"{_flag_text(row)}"
-        )
+    lines += _emit_table(columns, (
+        [*row.values(), ",".join(k.removesuffix("_suspect") for k, on in flag.items() if on) or "-"]
+        for row, flag in zip(rows, flags)
+    ))
     lines += ["", "caveats:", f"  - {VIFNC_THRESHOLD_CAVEAT}", f"  - {FLAG_CAVEAT}"]
     return "\n".join(lines) + "\n"
 
 
-def render_fit(
-    fit: FitResult,
-    label: str,
-    fmt: OutputFormat = OutputFormat.TEXT,
-    r2_centered_value: float | None = None,
-) -> str:
+def render_fit(fit: FitResult, label: str, fmt: OutputFormat = OutputFormat.TEXT) -> str:
     """Render an auxiliary-regression fit summary.
 
-    ``r2_centered_value`` is shown only when the caller computed it,
-    i.e. for centered mode.
+    ``r2_centered`` is shown only for a fit with an intercept, i.e. for
+    centered mode; it raises for a constant dependent column.
     """
-    r2nc = r2_noncentered(fit)
-    scalars = [
-        ("rss", fit.rss),
-        ("tss_uncentered", fit.tss_uncentered),
-        ("tss_centered", fit.tss_centered),
-        ("ess_uncentered", fit.ess_uncentered),
-        ("ess_centered", fit.ess_centered),
-        ("r2_noncentered", r2nc),
-    ]
-    if r2_centered_value is not None:
-        scalars.append(("r2_centered", r2_centered_value))
+    coefficients = dict(zip(fit.coefficient_names, fit.coefficients))
+    scalars = {
+        "rss": fit.rss,
+        "tss_uncentered": fit.tss_uncentered,
+        "tss_centered": fit.tss_centered,
+        "ess_uncentered": fit.ess_uncentered,
+        "ess_centered": fit.ess_centered,
+        "r2_noncentered": r2_noncentered(fit),
+    }
+    if fit.intercept:
+        scalars["r2_centered"] = r2_centered(fit)
 
     if fmt is OutputFormat.JSON:
-        payload = {
-            "model": label,
-            "coefficients": {
-                name: _json_num(value)
-                for name, value in zip(fit.coefficient_names, fit.coefficients)
-            },
-            **{key: _json_num(value) for key, value in scalars},
-        }
-        return json.dumps(payload, indent=2)
+        return _emit_json({"model": label, "coefficients": coefficients, **scalars})
 
     if fmt is OutputFormat.CSV:
-        names = [f"coef_{name}" for name in fit.coefficient_names] + [k for k, _ in scalars]
-        values = [_csv_num(v) for v in fit.coefficients] + [_csv_num(v) for _, v in scalars]
-        return ",".join(names) + "\n" + ",".join(values) + "\n"
+        header = [f"coef_{name}" for name in coefficients] + list(scalars)
+        return _emit_csv(header, [[*coefficients.values(), *scalars.values()]])
 
     lines = [f"auxiliary regression: {label}", "coefficients:"]
-    for name, value in zip(fit.coefficient_names, fit.coefficients):
-        lines.append(f"  {name:<14} {_text_num(value)}")
-    for key, value in scalars:
-        lines.append(f"{key:<16} {_text_num(value)}")
+    lines += [f"  {name:<14} {_text(value)}" for name, value in coefficients.items()]
+    lines += [f"{key:<16} {_text(value)}" for key, value in scalars.items()]
     return "\n".join(lines) + "\n"
 
 
 def render_montecarlo(summary: MonteCarloSummary, fmt: OutputFormat = OutputFormat.TEXT) -> str:
     spec = summary.scenario
-    stats_keys = ("mean", "median", "p90", "p95", "p99", "max")
-
-    if fmt is OutputFormat.JSON:
-        payload = {
-            "scenario": {
-                "kind": spec.kind,
-                "n": spec.n,
-                "replications": spec.replications,
-                "master_seed": spec.master_seed,
-                "lambda": spec.lam,
-                "noise_sd": spec.noise_sd,
-                "base": spec.base,
-            },
-            "thresholds": {"vif": summary.thresholds.vif, "vifnc": summary.thresholds.vifnc},
-            "n_success": summary.n_success,
-            "n_failed": summary.n_failed,
-            "vif": {
-                **{k: getattr(summary.vif_stats, k) for k in stats_keys},
-                "exceedance": summary.vif_exceedance,
-            },
-            "vifnc": {
-                **{k: getattr(summary.vifnc_stats, k) for k in stats_keys},
-                "exceedance": summary.vifnc_exceedance,
-            },
-        }
-        return json.dumps(payload, indent=2)
-
-    if fmt is OutputFormat.CSV:
-        header = ["kind", "n", "replications", "master_seed", "n_success", "n_failed"]
-        values = [spec.kind, str(spec.n), str(spec.replications), str(spec.master_seed),
-                  str(summary.n_success), str(summary.n_failed)]
-        for name, stats, rate in (
+    run = {"kind": spec.kind, "n": spec.n, "replications": spec.replications,
+           "master_seed": spec.master_seed}
+    params = {"lambda": spec.lam, "noise_sd": spec.noise_sd, "base": spec.base}
+    counts = {"n_success": summary.n_success, "n_failed": summary.n_failed}
+    stats = {
+        name: {**_fields(values, _STAT_FIELDS), "exceedance": rate}
+        for name, values, rate in (
             ("vif", summary.vif_stats, summary.vif_exceedance),
             ("vifnc", summary.vifnc_stats, summary.vifnc_exceedance),
-        ):
-            for key in stats_keys:
-                header.append(f"{name}_{key}")
-                values.append(_csv_num(getattr(stats, key)))
-            header.append(f"{name}_exceedance")
-            values.append(_csv_num(rate))
-        return ",".join(header) + "\n" + ",".join(values) + "\n"
+        )
+    }
 
-    params = []
-    if spec.lam is not None:
-        params.append(f"lambda={_text_num(spec.lam)}")
-    if spec.noise_sd is not None:
-        params.append(f"noise_sd={_text_num(spec.noise_sd)}")
-    if spec.base is not None:
-        params.append(f"base={_text_num(spec.base)}")
-    lines = [
-        f"scenario: {spec.kind} (n={spec.n}, replications={spec.replications}, "
-        f"master_seed={spec.master_seed})",
-    ]
-    if params:
-        lines.append("parameters: " + ", ".join(params))
+    if fmt is OutputFormat.JSON:
+        return _emit_json({
+            "scenario": {**run, **params},
+            "thresholds": _thresholds(summary.thresholds),
+            **counts,
+            **stats,
+        })
+
+    if fmt is OutputFormat.CSV:
+        cells = {**run, **counts}
+        cells.update((f"{name}_{key}", v) for name, d in stats.items() for key, v in d.items())
+        return _emit_csv(cells, [cells.values()])
+
+    sizes = ", ".join(f"{key}={value}" for key, value in run.items() if key != "kind")
+    lines = [f"scenario: {spec.kind} ({sizes})"]
+    given = [f"{key}={_text(value)}" for key, value in params.items() if value is not None]
+    if given:
+        lines.append("parameters: " + ", ".join(given))
     lines += [
         f"replications: {summary.n_success} succeeded, {summary.n_failed} failed",
-        f"thresholds: vif >= {_text_num(summary.thresholds.vif)}, "
-        f"vifnc >= {_text_num(summary.thresholds.vifnc)}",
+        f"thresholds: {_thresholds_line(summary.thresholds)}",
         "",
-        f"{'':<8}" + "".join(f"{k:>12}" for k in stats_keys) + f"{'exceedance':>12}",
     ]
-    for name, stats, rate in (
-        ("vif", summary.vif_stats, summary.vif_exceedance),
-        ("vifnc", summary.vifnc_stats, summary.vifnc_exceedance),
-    ):
-        lines.append(
-            f"{name:<8}"
-            + "".join(f"{_text_num(getattr(stats, k)):>12}" for k in stats_keys)
-            + f"{_text_num(rate):>12}"
-        )
+    columns = [("", "{:<8}")] + [(key, "{:>12}") for key in stats["vif"]]
+    lines += _emit_table(columns, ([name, *d.values()] for name, d in stats.items()))
     return "\n".join(lines) + "\n"
 
 
 def render_replication(entries: list[ReplicationEntry], fmt: OutputFormat = OutputFormat.TEXT) -> str:
+    records = [_fields(e, _ENTRY_FIELDS) for e in entries]
     if fmt is OutputFormat.JSON:
-        payload = [
-            {
-                "label": e.label,
-                "expected": e.expected,
-                "computed": _json_num(e.computed),
-                "tolerance": e.tolerance,
-                "tolerance_kind": e.tolerance_kind,
-                "error": _json_num(e.error),
-                "passed": e.passed,
-            }
-            for e in entries
-        ]
-        return json.dumps({"entries": payload, "all_passed": all(e.passed for e in entries)}, indent=2)
+        return _emit_json({"entries": records, "all_passed": all(e.passed for e in entries)})
 
     if fmt is OutputFormat.CSV:
-        lines = ["label,expected,computed,tolerance,tolerance_kind,error,passed"]
-        for e in entries:
-            lines.append(
-                f"{e.label},{_csv_num(e.expected)},{_csv_num(e.computed)},"
-                f"{_csv_num(e.tolerance)},{e.tolerance_kind},{_csv_num(e.error)},{int(e.passed)}"
-            )
-        return "\n".join(lines) + "\n"
+        return _emit_csv(_ENTRY_FIELDS, (record.values() for record in records))
 
-    lines = [
-        f"{'target':<28} {'expected':>12} {'computed':>12} {'tolerance':>16} {'result':>8}",
-    ]
-    for e in entries:
-        tol = f"{_text_num(e.tolerance)} {e.tolerance_kind[:3]}"
-        lines.append(
-            f"{e.label:<28} {_text_num(e.expected):>12} {_text_num(e.computed):>12} "
-            f"{tol:>16} {'PASS' if e.passed else 'FAIL':>8}"
-        )
-    n_pass = sum(e.passed for e in entries)
-    lines.append(f"{n_pass}/{len(entries)} replication targets matched")
+    columns = [("target", "{:<28}"), ("expected", " {:>12}"), ("computed", " {:>12}"),
+               ("tolerance", " {:>16}"), ("result", " {:>8}")]
+    lines = _emit_table(columns, (
+        [e.label, e.expected, e.computed, f"{_text(e.tolerance)} {e.tolerance_kind[:3]}",
+         "PASS" if e.passed else "FAIL"]
+        for e in entries
+    ))
+    lines.append(f"{sum(e.passed for e in entries)}/{len(entries)} replication targets matched")
     return "\n".join(lines) + "\n"

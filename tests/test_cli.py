@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import io
 import json
@@ -33,6 +34,15 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def strict_json(text):
+    """Parse JSON, rejecting the NaN/Infinity tokens RFC 8259 does not allow."""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 class TestDiagnose:
@@ -121,6 +131,44 @@ class TestDiagnose:
         row_c = next(r for r in json.loads(out)["rows"] if r["variable"] == "c")
         assert row_c["vifnc"] == {"value": None, "infinite": True}
         assert row_c["flags"]["essential_suspect"] is True
+
+    def test_csv_quotes_a_name_with_a_comma(self, tmp_path, capsys):
+        path = tmp_path / "comma.csv"
+        header, body = BELSLEY_CSV.split("\n", 1)
+        assert header == "y,X1,X2,X3,X4"
+        path.write_text('y,X1,X2,X3,"X,4"\n' + body, encoding="utf-8")
+        code, out, _ = run_cli(capsys, "diagnose", str(path), "--dependent", "y", "--format", "csv")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert [row[0] for row in rows[1:]] == ["X2", "X3", "X,4"]
+        assert {len(row) for row in rows} == {len(rows[0])}
+        code, out, _ = run_cli(capsys, "aux", str(path), "--column", "X3", "--format", "csv")
+        assert code == 0
+        header, values = csv.reader(io.StringIO(out))
+        assert "coef_X,4" in header
+        assert len(values) == len(header)
+
+    def test_nan_threshold_exit_2_names_it(self, belsley_csv, capsys):
+        code, _, err = run_cli(
+            capsys, "diagnose", str(belsley_csv), "--dependent", "y", "--vifnc-threshold", "nan"
+        )
+        assert code == 2
+        assert "vifnc_threshold" in err
+
+    def test_infinite_threshold_never_flags_and_stays_standard_json(self, belsley_csv, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "diagnose", str(belsley_csv), "--dependent", "y",
+            "--vifnc-threshold", "inf", "--format", "json",
+        )
+        assert code == 0
+        payload = strict_json(out)
+        assert payload["thresholds"]["vifnc"] == {"value": None, "infinite": True}
+        assert not any(row["flags"]["nonessential_suspect"] for row in payload["rows"])
+        _, out, _ = run_cli(
+            capsys, "diagnose", str(belsley_csv), "--dependent", "y", "--vifnc-threshold", "inf"
+        )
+        assert "thresholds: vif >= 10, vifnc >= inf\n" in out
 
     def test_byte_order_mark_and_trailing_blank_lines(self, belsley_csv, tmp_path, capsys):
         code, plain, _ = run_cli(capsys, "diagnose", str(belsley_csv), "--dependent", "y")
@@ -241,6 +289,17 @@ class TestAux:
         assert code == 2
         assert "constant" in err
 
+    def test_centered_on_constant_column_with_inexact_mean_exit_2(self, tmp_path, capsys):
+        # twenty copies of 0.1 do not average to exactly 0.1 in floating point
+        assert float(np.full(20, 0.1).mean()) != 0.1
+        rng = np.random.default_rng(3)
+        path = tmp_path / "constant.csv"
+        columns = {"c": np.full(20, 0.1), "a": rng.normal(size=20), "b": rng.normal(size=20)}
+        save_csv(DataMatrix.from_columns(columns), path)
+        code, out, err = run_cli(capsys, "aux", str(path), "--column", "c", "--mode", "centered")
+        assert (code, out) == (2, "")
+        assert "constant" in err
+
     def test_csv_output_roundtrips_through_load_csv(self, belsley_csv, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -273,6 +332,38 @@ class TestMontecarlo:
         _, second, _ = run_cli(capsys, "montecarlo", str(config))
         assert first == second
 
+    def test_zero_successes_render_null_and_na(self, tmp_path, capsys):
+        # the relation is exact at perfect_tol, so every replication fails
+        config = tmp_path / "degenerate.cfg"
+        config.write_text(
+            "kind = essential\nn = 20\nreplications = 5\nmaster_seed = 1\n"
+            "lambda = 1e140\nnoise_sd = 0.5\n",
+            encoding="utf-8",
+        )
+        code, out, _ = run_cli(capsys, "montecarlo", str(config), "--format", "json")
+        assert code == 0
+        payload = strict_json(out)
+        assert (payload["n_success"], payload["n_failed"]) == (0, 5)
+        for name in ("vif", "vifnc"):
+            assert set(payload[name].values()) == {None}
+        _, out, _ = run_cli(capsys, "montecarlo", str(config), "--format", "csv")
+        header, values = csv.reader(io.StringIO(out))
+        cells = dict(zip(header, values))
+        assert cells["n_success"] == "0"
+        assert {v for k, v in cells.items() if k.startswith("vif")} == {"NA"}
+        _, out, _ = run_cli(capsys, "montecarlo", str(config))
+        for line in out.splitlines()[-2:]:
+            assert line.split()[1:] == ["NA"] * 7
+
+    def test_infinite_config_threshold_stays_standard_json(self, tmp_path, capsys):
+        config = tmp_path / "scenario.cfg"
+        config.write_text(NE_CONFIG + "vif_threshold = inf\n", encoding="utf-8")
+        code, out, _ = run_cli(capsys, "montecarlo", str(config), "--format", "json")
+        assert code == 0
+        payload = strict_json(out)
+        assert payload["thresholds"]["vif"] == {"value": None, "infinite": True}
+        assert payload["vif"]["exceedance"] == 0.0
+
     def test_missing_master_seed_exit_2(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"
         config.write_text("kind = independent\nn = 20\nreplications = 5\n", encoding="utf-8")
@@ -301,6 +392,77 @@ MONTECARLO_GOLDENS = [
 @pytest.mark.parametrize("config, fmt, digest", MONTECARLO_GOLDENS)
 def test_shipped_config_output_is_byte_identical(config, fmt, digest, capsys):
     code, out, _ = run_cli(capsys, "montecarlo", str(CONFIG_DIR / f"{config}.cfg"), "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# SHA-256 of stdout for `diagnose`, `aux` and `replicate` in every format,
+# covering inf rows, NA rows and flags on both sides of a threshold. The
+# inputs are written into the working directory and named relatively,
+# because `diagnose` prints the path it was given.
+CLI_CASES = {
+    "belsley": ["diagnose", "belsley.csv", "--dependent", "y"],
+    "belsley-no-intercept": ["diagnose", "belsley.csv", "--dependent", "y", "--no-intercept"],
+    "belsley-threshold": [
+        "diagnose", "belsley.csv", "--dependent", "y",
+        "--regressors", "X2,X3,X4", "--vif-threshold", "1.1",
+    ],
+    "collinear": ["diagnose", "collinear.csv", "--dependent", "y"],
+    "constant": ["diagnose", "constant.csv", "--dependent", "y", "--no-intercept"],
+    "aux-noncentered": ["aux", "belsley.csv", "--column", "X3", "--mode", "noncentered"],
+    "aux-centered": [
+        "aux", "belsley.csv", "--column", "X3", "--regressors", "X2", "X4", "--mode", "centered",
+    ],
+    "replicate": ["replicate"],
+}
+CLI_GOLDENS = [
+    ("belsley", "text", "f4860e6ac3f5ed5a05f4ff71236ad3573d509f881ae662fadbaef35563092097"),
+    ("belsley", "json", "e0c3a51c1d3655a02fdeb2e2baf4bdff73fe273069ac06731812940741b312b1"),
+    ("belsley", "csv", "9a163729ca806179be70c096720977c752097e3b5b6fee0f9779680f50d1b36e"),
+    ("belsley-no-intercept", "text", "7df4bc17ed8f15dad5b133c5e058618c4e2415811c77d0ae96acf8445e3f4a76"),
+    ("belsley-no-intercept", "json", "33ec0730a5ac4f2705cd5fe1a6a1037584c96bfbec4575dc7de04af187ec6be4"),
+    ("belsley-no-intercept", "csv", "c17597402a748dcf0194c3f7bd702b58a85ee2b8df1c2baf0cea5d6c0d6d00ad"),
+    ("belsley-threshold", "text", "e6979810ff80ad727c7ba9fe4f0ec8a7c45f08c62ab865bae4dd2f8206591df5"),
+    ("belsley-threshold", "json", "6dc44a3ecb72d9ac0fc9d30d827871bd9d22322e57613720150f32aaca61382e"),
+    ("belsley-threshold", "csv", "e83b091b872d16b36f23553dd8bcd685bf2f0b192999beb62781bc4c78124f18"),
+    ("collinear", "text", "b1b1951119d9b920d423a3229a315b8fd43d55a25acc1b4063d665d7ad39cf17"),
+    ("collinear", "json", "36c034878cce8fcce2ece6fde962d8c3049a32256f6192173c9c7454fbbcebda"),
+    ("collinear", "csv", "71fa463252e1051ef83df1eac9e76f34ed0f76ec6dbc080064f91ef2bcc7393c"),
+    ("constant", "text", "d719faf3c7660617b3d6dbca3d5b28ba114a0f0aec06b9ce274190b948c65d44"),
+    ("constant", "json", "c3d415bf739bbf2be24e05084d8f91ed7778866ff351ca41b4057f2f7afa630e"),
+    ("constant", "csv", "2c38419dfcd5856499b0b02e8bda11a8877a6c37848679412fe53618644174b0"),
+    ("aux-noncentered", "text", "261ed13024f618bffc5355c41177486e14a8b3f5e8ecc58c30d34ea351508d98"),
+    ("aux-noncentered", "json", "03a60eda64a189ed39272f6b5c0623edabeb4bc9384787a524010e98737bac7a"),
+    ("aux-noncentered", "csv", "9b93f419f58ae871fa0549f9fc99b89001c3684f64934d42a2a3a22db0c68ad7"),
+    ("aux-centered", "text", "f5b93a4053f0cfb63a039dc69d59be2370445de8ef4dc63012a023a4dd59d1f0"),
+    ("aux-centered", "json", "15a98d9e175334968c679a2a150c6216e4456a4dddbea7fe3ac94d0d48b60a9b"),
+    ("aux-centered", "csv", "6c8af126f15745c03da265a13b7952f9cfd4eeb84be7aca98f10f93348bf9254"),
+    ("replicate", "text", "19f2226c0d7fb36c5ad1145056a0de2943859493e766d14ff150521b010f9e4a"),
+    ("replicate", "json", "c9cceca3627d0afe858d6e43ee574f64d2b9c3a9b2a5e4f90cccf3779d8e1547"),
+    ("replicate", "csv", "f0e3f1854cc4dde25f3cdd6ce7c10d36e0dd82dadf778eda99bad109713ede20"),
+]
+
+
+@pytest.fixture()
+def golden_inputs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "belsley.csv").write_text(BELSLEY_CSV, encoding="utf-8")
+    rng = np.random.default_rng(2024)
+    x1, x3 = rng.normal(3.0, 1.0, 20), rng.normal(-1.0, 2.0, 20)
+    columns = {"y": rng.normal(size=20), "x1": x1, "x2": 2.0 * x1, "x3": x3}
+    save_csv(DataMatrix.from_columns(columns), tmp_path / "collinear.csv")
+    columns = {
+        "y": rng.normal(size=20),
+        "a": rng.normal(2.0, 1.0, 20),
+        "b": rng.normal(size=20),
+        "c": np.full(20, 3.0),
+    }
+    save_csv(DataMatrix.from_columns(columns), tmp_path / "constant.csv")
+
+
+@pytest.mark.parametrize("case, fmt, digest", CLI_GOLDENS)
+def test_cli_output_is_byte_identical(case, fmt, digest, golden_inputs, capsys):
+    code, out, _ = run_cli(capsys, *CLI_CASES[case], "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 

@@ -376,6 +376,18 @@ class TestFullReport:
         assert not rows["X2"].nonessential_suspect  # vif already fired
         assert rows["X4"].essential_suspect
 
+    @pytest.mark.parametrize(
+        "field, flag", [("vif", "essential_suspect"), ("vifnc", "nonessential_suspect")]
+    )
+    def test_nan_threshold_rejected_inf_never_flags(self, belsley_data, field, flag):
+        with pytest.raises(ValueError, match=f"{field}_threshold"):
+            Thresholds(**{field: math.nan})
+        spec = ModelSpec("y", ("X1", "X2", "X3"), intercept=False)
+        rows = full_report(belsley_data, spec, Thresholds(vif=0.0, vifnc=0.0)).rows
+        assert any(getattr(row, flag) for row in rows)
+        rows = full_report(belsley_data, spec, Thresholds(**{field: math.inf})).rows
+        assert not any(getattr(row, flag) for row in rows)
+
     def test_two_dimensional_null_space_spares_the_column_outside_it(self):
         rng = np.random.default_rng(8)
         a, d = rng.normal(2.0, 1.0, 15), rng.normal(-1.0, 1.0, 15)

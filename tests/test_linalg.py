@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from vifnc import cross_product, solve_least_squares
+from vifnc import solve_least_squares
 from vifnc.errors import DimensionMismatch, NonFiniteInput, TooFewObservations
 
-from oracles import normal_equations_solve, sum_of_squares
+from oracles import normal_equations_solve
 
 
 def test_identity_system():
@@ -91,42 +89,3 @@ def test_input_validation():
         solve_least_squares(np.eye(3), [1.0, 2.0])
     with pytest.raises(TooFewObservations):
         solve_least_squares(np.ones((2, 3)), [1.0, 2.0])
-
-
-def test_cross_product_counts_rows():
-    ones = np.ones(5)
-    result = cross_product(ones, ones)
-    assert result.shape == (1, 1)
-    assert result[0, 0] == 5.0
-
-
-def test_cross_product_identity():
-    assert np.array_equal(cross_product(np.eye(2), np.eye(2)), np.eye(2))
-
-
-def test_cross_product_against_summation_oracle(belsley_data):
-    x2 = belsley_data.column("X2")
-    result = cross_product(x2, x2)
-    assert result.shape == (1, 1)
-    assert result[0, 0] == pytest.approx(sum_of_squares(x2), rel=1e-12)
-
-
-def test_cross_product_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        cross_product(np.ones((3, 2)), np.ones((4, 2)))
-
-
-@settings(max_examples=50)
-@given(
-    st.integers(min_value=1, max_value=6),
-    st.integers(min_value=1, max_value=4),
-    st.integers(min_value=1, max_value=4),
-    st.integers(min_value=0, max_value=2**32 - 1),
-)
-def test_cross_product_transpose_identity(rows, ca, cb, seed):
-    rng = np.random.default_rng(seed)
-    A = rng.normal(size=(rows, ca))
-    B = rng.normal(size=(rows, cb))
-    left = cross_product(A, B)
-    right = cross_product(B, A).T
-    assert np.all(np.abs(left - right) <= 1e-12 * (1.0 + np.abs(right)))

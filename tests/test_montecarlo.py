@@ -228,6 +228,15 @@ vifnc_threshold = 30
         with pytest.raises(ConfigError, match="kind"):
             parse_scenario_config(self.GOOD + "kind = independent\n")
 
+    @pytest.mark.parametrize("key", ["vif_threshold", "vifnc_threshold"])
+    def test_nan_threshold_named(self, key):
+        with pytest.raises(ConfigError, match=key):
+            parse_scenario_config(self.GOOD.replace("vifnc_threshold = 30", f"{key} = nan"))
+
+    def test_infinite_threshold_kept(self):
+        _, thresholds = parse_scenario_config(self.GOOD + "vif_threshold = inf\n")
+        assert thresholds.vif == math.inf
+
     def test_lambda_key_maps_to_slope(self):
         text = (
             "kind = essential\nn = 20\nreplications = 5\nmaster_seed = 1\n"

@@ -157,6 +157,16 @@ class TestR2:
         with pytest.raises(ZeroTotalSumOfSquares):
             r2_centered(result)
 
+    def test_centered_rejects_constant_dependent_with_inexact_mean(self):
+        # twenty copies of 0.1 do not average to exactly 0.1 in floating point
+        y = np.full(20, 0.1)
+        data = DataMatrix.from_columns({"y": y, "x": np.arange(20.0)})
+        result = fit(data, ModelSpec("y", ("x",), intercept=True))
+        assert result.tss_centered == 0.0
+        assert result.dependent_mean == 0.1
+        with pytest.raises(ZeroTotalSumOfSquares):
+            r2_centered(result)
+
     def test_bounds(self):
         for seed in range(10):
             data = make_data(seed)
