@@ -1,9 +1,14 @@
-"""Embedded Belsley dataset, strict CSV ingestion, and a portable RNG.
+r"""Embedded Belsley dataset, strict CSV ingestion, and a portable RNG.
 
 The CSV dialect is deliberately narrow: UTF-8, comma separated, header of
-unique names, period decimal mark, every cell a finite decimal numeral.
-Canonical serialization uses the shortest round-trip decimal for each
-float64, so load -> serialize -> load is bit-exact.
+unique names, every other cell a finite ASCII decimal numeral
+``[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?``, quoted or not.
+``load_csv`` hands each chunk of plain numerals to NumPy's C parser and
+reads from the first other chunk on with the ``csv`` module row by row, so
+a malformed file raises the same error, with the same row and column,
+wherever its fault lies. Canonical serialization uses the shortest
+round-trip decimal for each float64, so load -> serialize -> load is
+bit-exact.
 
 Random normal columns come from SplitMix64 uniforms pushed through
 Box-Muller with a fixed consumption order, making every draw reproducible
@@ -15,9 +20,11 @@ for bit equal to stepping the scalar :class:`SplitMix64` one call at a time.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO
@@ -65,13 +72,34 @@ def belsley_csv_path() -> Path:
     return Path(__file__).parent / "data" / "belsley.csv"
 
 
+#: Body bytes read per chunk; each chunk is extended to the next newline.
+_CHUNK_BYTES = 1 << 20
+#: The only bytes a chunk may hold, once CRLF is LF, to go to NumPy's C parser.
+_FAST_BYTES = b"0123456789eE+-.,\n"
+#: A finite decimal numeral, the only cell the CSV contract accepts.
+_NUMERAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+
+
 def load_csv(source: str | Path | IO) -> DataMatrix:
     """Parse a strict numeric CSV into a DataMatrix.
 
-    ``source`` may be a path or an open text/binary stream. A leading
-    UTF-8 byte-order mark is dropped. The first row is the header; all
-    further cells must parse as finite floats. Blank lines at the end are
-    ignored; a blank line followed by more data is a :class:`ParseError`.
+    ``source`` may be a path or an open text/binary stream; text is
+    encoded to UTF-8 and read like bytes. A leading UTF-8 byte-order mark
+    is dropped. The first row is the header; every further cell must be a
+    finite ASCII decimal numeral (the grammar in the module docstring),
+    quoted or not. Rows may end in LF, CRLF or CR. Blank lines at the end
+    are ignored; a blank line followed by more data is a
+    :class:`ParseError`.
+
+    The body's lines are counted first, to size the result array. Then
+    the body is read in chunks of about ``_CHUNK_BYTES``, each extended to
+    the next newline. A chunk of unquoted numerals with LF or CRLF line
+    ends and no blank line goes to NumPy's C parser; the first chunk that
+    is anything else, or that the C parser refuses, and all that follows
+    it, go to the row-wise ``csv`` parser, which raises the error with its
+    location or accepts what only it handles (quoted cells, CR line ends,
+    trailing blank lines). Both parsers convert a numeral as ``float()``
+    does, so the values do not depend on which one read them.
 
     Raises
     ------
@@ -79,50 +107,136 @@ def load_csv(source: str | Path | IO) -> DataMatrix:
         With the 1-based row (and column) of the offense where it applies.
     """
     if isinstance(source, (str, Path)):
-        # streamed: the whole text never sits in memory at once
-        with open(source, newline="", encoding="utf-8-sig") as handle:
+        # binary: byte offsets are what the chunks and the header seek by
+        with open(source, "rb") as handle:
             return _parse_csv(handle)
-    text = source.read()
-    if isinstance(text, bytes):
-        text = text.decode("utf-8-sig")
-    else:
-        text = text.removeprefix("\ufeff")
-    return _parse_csv(io.StringIO(text, newline=""))
+    data = source.read()
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    return _parse_csv(io.BytesIO(data))
 
 
-def _parse_csv(handle: IO[str]) -> DataMatrix:
-    reader = csv.reader(handle)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty input: no header row") from None
+def _parse_csv(handle: IO[bytes]) -> DataMatrix:
+    start = len(codecs.BOM_UTF8) if handle.read(len(codecs.BOM_UTF8)) == codecs.BOM_UTF8 else 0
+    handle.seek(start)
+    header, header_bytes = _read_header(handle)
     if not header or any(name == "" for name in header):
         raise ParseError("header has an empty column name", row=1)
     if len(set(header)) != len(header):
         raise DuplicateHeader("duplicate column name in header", row=1)
-
-    width = len(header)
-    values: list[list[float]] = []
-    for rownum, cells in enumerate(reader, start=2):
-        if len(cells) != width:
-            if not cells:  # a blank line: only more blank lines may follow
-                if any(reader):
-                    raise ParseError("blank line before the end of the data", row=rownum)
-                break
-            raise RaggedRow(f"expected {width} cells, got {len(cells)}", row=rownum)
-        parsed = []
-        for colnum, cell in enumerate(cells, start=1):
-            try:
-                value = float(cell)
-            except ValueError:
-                raise ParseError(f"not a number: {cell!r}", row=rownum, col=colnum) from None
-            if not math.isfinite(value):
-                raise NonFiniteValue(f"non-finite value: {cell!r}", row=rownum, col=colnum)
-            parsed.append(value)
-        values.append(parsed)
-    if not values:
+    handle.seek(start + header_bytes)
+    values = _read_body(handle, len(header))
+    if not len(values):
         raise ParseError("no data rows after the header")
-    return DataMatrix(tuple(header), np.array(values))
+    return DataMatrix(tuple(header), values)
+
+
+def _read_header(handle: IO[bytes]) -> tuple[list[str], int]:
+    """The first CSV record and the number of bytes it spans.
+
+    The decoder reads ahead, so the caller seeks past the header by the
+    returned count; with ``newline=""`` the decoded lines re-encode to
+    exactly the bytes they came from.
+    """
+    text = io.TextIOWrapper(handle, encoding="utf-8", newline="")
+    lines: list[str] = []
+
+    def next_line() -> str:
+        lines.append(text.readline())
+        return lines[-1]
+
+    try:
+        header = next(csv.reader(iter(next_line, "")))
+    except StopIteration:
+        raise ParseError("empty input: no header row") from None
+    finally:
+        text.detach()
+    return header, len("".join(lines).encode("utf-8"))
+
+
+def _read_body(handle: IO[bytes], width: int) -> np.ndarray:
+    """Every data row after the header as an (n, width) array.
+
+    A first pass reads the body whole to count its lines and lets it go;
+    then the result array is allocated once, and the rows of each fast
+    chunk are copied into it. A load's largest allocations so come in a
+    fixed order, the body and then the result, whatever the bytes, and
+    the heap the rest of the process works in, with its peak resident
+    set, does not depend on how the rows fall into chunks.
+    """
+    values = np.empty((_count_lines(handle), width))
+    filled = 0
+    while chunk := handle.read(_CHUNK_BYTES):
+        if not chunk.endswith(b"\n"):
+            chunk += handle.readline()
+        block = _fast_block(chunk, width)
+        if block is None:
+            handle.seek(-len(chunk), io.SEEK_CUR)
+            return np.concatenate([values[:filled], _parse_rows(handle, width, filled + 2)])
+        values[filled:filled + len(block)] = block
+        filled += len(block)
+    return values[:filled]
+
+
+def _count_lines(handle: IO[bytes]) -> int:
+    """Lines from the handle's position to the end, an unterminated last one
+    included; the position is left where it was.
+
+    Every row the C parser reads is one of these lines, so the count bounds
+    the rows of the fast chunks.
+    """
+    start = handle.tell()
+    body = handle.read()
+    handle.seek(start)
+    return body.count(b"\n") + (body[-1:] not in (b"", b"\n"))
+
+
+def _fast_block(chunk: bytes, width: int) -> np.ndarray | None:
+    """The rows of ``chunk`` from NumPy's C parser, or None to read it row-wise."""
+    if b"\r" in chunk:  # CRLF line ends; a bare CR stays and sends the chunk row-wise
+        chunk = chunk.replace(b"\r\n", b"\n")
+    if chunk.translate(None, _FAST_BYTES) or chunk.startswith(b"\n") or b"\n\n" in chunk:
+        return None
+    try:
+        block = np.loadtxt(io.BytesIO(chunk), delimiter=",", ndmin=2)
+    except ValueError:
+        return None
+    if block.shape[1] != width or not np.isfinite(block).all():
+        return None
+    return block
+
+
+def _parse_rows(handle: IO[bytes], width: int, first_row: int) -> np.ndarray:
+    """The row-wise parser: every row from the handle's position to the end.
+
+    ``first_row`` is the 1-based CSV row number of the first row read,
+    which every error carries.
+    """
+    with io.TextIOWrapper(handle, encoding="utf-8", newline="") as text:
+        reader = csv.reader(text)
+        values: list[list[float]] = []
+        for rownum, cells in enumerate(reader, start=first_row):
+            if len(cells) != width:
+                if not cells:  # a blank line: only more blank lines may follow
+                    if any(reader):
+                        raise ParseError("blank line before the end of the data", row=rownum)
+                    break
+                raise RaggedRow(f"expected {width} cells, got {len(cells)}", row=rownum)
+            values.append([_numeral(cell, rownum, col) for col, cell in enumerate(cells, 1)])
+    return np.array(values, dtype=float).reshape(-1, width)
+
+
+def _numeral(cell: str, row: int, col: int) -> float:
+    try:
+        value = float(cell)
+    except ValueError:
+        raise ParseError(f"not a number: {cell!r}", row=row, col=col) from None
+    if not math.isfinite(value):
+        raise NonFiniteValue(f"non-finite value: {cell!r}", row=row, col=col)
+    if not _NUMERAL.fullmatch(cell):
+        # float() also takes '_' separators, surrounding whitespace and non-ASCII digits
+        raise ParseError(f"not a number: {cell!r}", row=row, col=col)
+    return value
 
 
 def to_csv(data: DataMatrix) -> str:

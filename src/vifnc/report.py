@@ -4,9 +4,10 @@ Each renderer lists its fields once, as ``key -> value`` records (nested
 where the JSON nests), and hands them to three emitters that own every
 formatting rule. ``_emit_json`` keeps full round-trip precision, writes an
 undefined value (``None`` or NaN: the VIF of a constant column, a
-statistic over zero successes) as ``null`` and ``inf`` as
-``{"value": null, "infinite": true}``, because JSON has no infinity
-literal, and dumps with ``allow_nan=False``. ``_emit_csv`` quotes a cell
+statistic over zero successes) as ``null``, ``inf`` as
+``{"value": null, "infinite": true}`` and ``-inf`` as the same object
+with ``"negative": true``, because JSON has no infinity literal, and
+dumps with ``allow_nan=False``. ``_emit_csv`` quotes a cell
 only when it needs it (a name with a comma) and writes shortest
 round-trip decimals, ``0``/``1`` flags, ``NA`` and ``inf``. ``_emit_table``
 lays out ``(title, template)`` text columns to 7 significant digits, the
@@ -63,7 +64,10 @@ def _json_value(value):
     if isinstance(value, float):
         if math.isnan(value):
             return None
-        return {"value": None, "infinite": True} if math.isinf(value) else float(value)
+        if math.isinf(value):
+            infinite = {"value": None, "infinite": True}
+            return {**infinite, "negative": True} if value < 0 else infinite
+        return float(value)
     if isinstance(value, dict):
         return {key: _json_value(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):

@@ -170,6 +170,21 @@ class TestDiagnose:
         )
         assert "thresholds: vif >= 10, vifnc >= inf\n" in out
 
+    def test_negative_infinite_threshold_keeps_its_sign_in_json(self, belsley_csv, capsys):
+        # argparse takes "--vifnc-threshold -inf" for two options; the "=" form passes the value
+        code, out, _ = run_cli(
+            capsys,
+            "diagnose", str(belsley_csv), "--dependent", "y",
+            "--vif-threshold", "inf", "--vifnc-threshold=-inf", "--format", "json",
+        )
+        assert code == 0
+        payload = strict_json(out)
+        assert payload["thresholds"] == {
+            "vif": {"value": None, "infinite": True},
+            "vifnc": {"value": None, "infinite": True, "negative": True},
+        }
+        assert all(row["flags"]["nonessential_suspect"] for row in payload["rows"])
+
     def test_byte_order_mark_and_trailing_blank_lines(self, belsley_csv, tmp_path, capsys):
         code, plain, _ = run_cli(capsys, "diagnose", str(belsley_csv), "--dependent", "y")
         assert code == 0
@@ -363,6 +378,15 @@ class TestMontecarlo:
         payload = strict_json(out)
         assert payload["thresholds"]["vif"] == {"value": None, "infinite": True}
         assert payload["vif"]["exceedance"] == 0.0
+
+    def test_negative_infinite_config_threshold_keeps_its_sign(self, tmp_path, capsys):
+        config = tmp_path / "scenario.cfg"
+        config.write_text(NE_CONFIG + "vifnc_threshold = -inf\n", encoding="utf-8")
+        code, out, _ = run_cli(capsys, "montecarlo", str(config), "--format", "json")
+        assert code == 0
+        payload = strict_json(out)
+        assert payload["thresholds"]["vifnc"] == {"value": None, "infinite": True, "negative": True}
+        assert payload["vifnc"]["exceedance"] == 1.0
 
     def test_missing_master_seed_exit_2(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"

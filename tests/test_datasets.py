@@ -1,6 +1,7 @@
 import hashlib
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from vifnc import (
     load_csv,
     to_csv,
 )
+from vifnc import datasets
 from vifnc.datasets import _derive_seeds, _normal_columns
 from vifnc.errors import DuplicateHeader, NonFiniteValue, ParseError, RaggedRow
 
@@ -70,6 +72,11 @@ class TestLoadCsv:
             load_csv(io.StringIO("a,b\n1,2\n3"))
         assert err.value.row == 3
 
+    def test_every_row_short_reports_the_first(self):
+        with pytest.raises(RaggedRow) as err:
+            load_csv(io.StringIO("a,b,c\n1,2\n3,4\n"))
+        assert err.value.row == 2
+
     def test_bad_numeral_reports_location(self):
         with pytest.raises(ParseError) as err:
             load_csv(io.StringIO("a,b\n1,2\n3,oops"))
@@ -114,6 +121,183 @@ class TestLoadCsv:
     def test_only_blank_lines_after_header(self):
         with pytest.raises(ParseError, match="no data rows"):
             load_csv(io.StringIO("a,b\n\n\n"))
+
+    @pytest.mark.parametrize("cell", ["1_0", " 3 ", "\t2", "\u0661\u0662"])
+    def test_cell_outside_the_numeral_grammar_reports_location(self, cell):
+        # float() accepts every one of these
+        text = f"a,b\n1,2\n3,{cell}\n"
+        for source in (io.StringIO(text), io.BytesIO(text.encode("utf-8"))):
+            with pytest.raises(ParseError) as err:
+                load_csv(source)
+            assert type(err.value) is ParseError
+            assert (err.value.row, err.value.col) == (3, 2)
+            assert str(err.value) == f"not a number: {cell!r} (row 3, column 2)"
+
+    def test_quoted_cells_and_any_line_end_are_accepted(self):
+        texts = ('a,b\r\n"1.5",2\r\n3,"-4e2"\r\n', 'a,b\n"1.5",2\n3,"-4e2"', "a,b\r1.5,2\r3,-4e2\r")
+        for text in texts:
+            assert load_csv(io.StringIO(text)).values.tolist() == [[1.5, 2.0], [3.0, -400.0]]
+        assert load_csv(io.StringIO("a\n1\r2\r3\r")).values.tolist() == [[1.0], [2.0], [3.0]]
+
+    def test_header_record_spanning_lines(self):
+        data = load_csv(io.StringIO('\u00e9,"b\nc"\n1,2\n'))
+        assert data.names == ("\u00e9", "b\nc")
+        assert data.values.tolist() == [[1.0, 2.0]]
+        with pytest.raises(ParseError) as err:
+            load_csv(io.StringIO('\u00e9,"b\nc"\n1,2\n3,x\n'))
+        assert (err.value.row, err.value.col) == (3, 2)
+
+
+def _outcome(text):
+    """What load_csv makes of ``text``: the loaded bits, or the error's identity."""
+    try:
+        data = load_csv(io.StringIO(text))
+    except ParseError as err:
+        return type(err), err.row, err.col, str(err)
+    return data.names, data.values.shape, data.values.tobytes()
+
+
+class TestChunkedIngestion:
+    """The chunked C-parser path against the row-wise parser, on 64-byte chunks."""
+
+    @pytest.fixture
+    def fast_chunks(self, monkeypatch):
+        """Shrink the chunks and count the ones NumPy's parser serves."""
+        served = []
+        fast_block = datasets._fast_block
+
+        def counting(chunk, width):
+            block = fast_block(chunk, width)
+            served.append(block is not None)
+            return block
+
+        monkeypatch.setattr(datasets, "_CHUNK_BYTES", 64)
+        monkeypatch.setattr(datasets, "_fast_block", counting)
+        return served
+
+    @staticmethod
+    def row_wise(monkeypatch, text):
+        with monkeypatch.context() as patch:
+            patch.setattr(datasets, "_fast_block", lambda chunk, width: None)
+            return _outcome(text)
+
+    @staticmethod
+    def lines(seed):
+        rng = np.random.default_rng(seed)
+        scales = 10.0 ** rng.integers(-8, 8, 3)
+        data = DataMatrix(("x", "y", "z"), rng.normal(0.0, 1.0, (40, 3)) * scales)
+        return to_csv(data).splitlines()
+
+    MUTATIONS = {
+        "bad cell": lambda row: [row[0], "oops", *row[2:]],
+        "empty cell": lambda row: [row[0], "", *row[2:]],
+        "C parser refuses": lambda row: [row[0], "1e", *row[2:]],
+        "underscore": lambda row: [row[0], "1_0", *row[2:]],
+        "ragged row": lambda row: row[:-1],
+        "overflow": lambda row: [row[0], "1e400", *row[2:]],
+        "quoted cell": lambda row: [row[0], f'"{row[1]}"', *row[2:]],
+    }
+
+    def test_clean_files_are_bit_identical(self, fast_chunks, monkeypatch):
+        for seed in range(5):
+            text = "\n".join(self.lines(seed)) + "\n"
+            assert _outcome(text) == self.row_wise(monkeypatch, text)
+        assert all(fast_chunks) and len(fast_chunks) >= 5 * 20
+
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    def test_cell_mutation_in_a_later_chunk(self, mutation, fast_chunks, monkeypatch):
+        for seed in range(3):
+            lines = self.lines(seed)
+            lines[30] = ",".join(self.MUTATIONS[mutation](lines[30].split(",")))
+            text = "\n".join(lines) + "\n"
+            fast_chunks.clear()
+            assert _outcome(text) == self.row_wise(monkeypatch, text)
+            assert fast_chunks.count(True) >= 10 and fast_chunks[-1] is False
+
+    @pytest.mark.parametrize(
+        "layout",
+        ["interior blank line", "crlf blank line", "cr", "trailing blank lines", "ragged tail"],
+    )
+    def test_line_mutation_in_a_later_chunk(self, layout, fast_chunks, monkeypatch):
+        for seed in range(3):
+            lines = self.lines(seed)
+            if layout == "interior blank line":
+                text = "\n".join(lines[:30] + [""] + lines[30:]) + "\n"
+            elif layout == "crlf blank line":
+                text = "\r\n".join(lines[:30] + [""] + lines[30:]) + "\r\n"
+            elif layout == "cr":
+                text = "\n".join(lines[:30]) + "\n" + "\r".join(lines[30:]) + "\r"
+            elif layout == "ragged tail":  # whole chunks of consistent, wrong width
+                short = [line.rsplit(",", 1)[0] for line in lines[30:]]
+                text = "\n".join(lines[:30] + short) + "\n"
+            else:
+                text = "\n".join(lines) + "\n\n\n"
+            fast_chunks.clear()
+            assert _outcome(text) == self.row_wise(monkeypatch, text)
+            assert fast_chunks.count(True) >= 10 and fast_chunks[-1] is False
+
+    def test_crlf_line_ends_take_the_fast_path(self, fast_chunks, monkeypatch):
+        for seed in range(3):
+            lines = self.lines(seed)
+            mixed = "\n".join(lines[:30]) + "\n" + "\r\n".join(lines[30:]) + "\r\n"
+            for text in (mixed, "\r\n".join(lines) + "\r\n", "\r\n".join(lines)):
+                assert _outcome(text) == self.row_wise(monkeypatch, text)
+                assert _outcome(text) == _outcome("\n".join(lines))
+        assert all(fast_chunks)
+
+    def test_blank_line_at_every_boundary(self, fast_chunks, monkeypatch):
+        lines = self.lines(7)[:12]
+        for at in range(2, len(lines)):
+            text = "\n".join(lines[:at] + [""] + lines[at:]) + "\n"
+            assert _outcome(text) == self.row_wise(monkeypatch, text)
+            assert _outcome(text)[1:3] == (at + 1, None)
+
+    def test_blank_line_straddling_a_chunk_boundary(self, fast_chunks):
+        # the first 64-byte read ends on the first newline of the blank line
+        text = "a\n" + "1" * 63 + "\n" + "\n" + "2\n"
+        with pytest.raises(ParseError, match="blank line") as err:
+            load_csv(io.StringIO(text))
+        assert err.value.row == 3
+        assert fast_chunks == [True, False]
+
+    def test_cells_drawn_from_the_fast_bytes(self, fast_chunks, monkeypatch):
+        # every cell the C parser could see: both parsers must agree on each
+        tokens = ["", "0", "7", "12", ".", "e", "E", "+", "-", "5", "e-3", "E+2", "1e400"]
+        rng = np.random.default_rng(11)
+        lines = self.lines(3)
+        for _ in range(300):
+            cell = "".join(rng.choice(tokens, int(rng.integers(1, 5))))
+            row = int(rng.integers(1, len(lines)))
+            mutated = lines[:row] + [f"{cell},{lines[row].split(',', 1)[1]}"] + lines[row + 1:]
+            text = "\n".join(mutated) + "\n"
+            assert _outcome(text) == self.row_wise(monkeypatch, text), cell
+        assert any(fast_chunks) and not all(fast_chunks)
+
+    def test_rows_are_copied_into_one_array(self, monkeypatch, tmp_path):
+        # after the line count the body holds about one result's worth: each
+        # chunk's rows go into the presized result, never gathered and concatenated
+        count_lines = datasets._count_lines
+
+        def counted(handle):
+            lines = count_lines(handle)
+            tracemalloc.reset_peak()
+            return lines
+
+        monkeypatch.setattr(datasets, "_CHUNK_BYTES", 1 << 16)
+        monkeypatch.setattr(datasets, "_count_lines", counted)
+        rng = np.random.default_rng(3)
+        path = tmp_path / "tall.csv"
+        path.write_text(to_csv(DataMatrix(tuple("abcde"), rng.normal(0.0, 1.0, (20_000, 5)))))
+        with path.open("rb") as handle:
+            handle.readline()
+            tracemalloc.start()
+            try:
+                values = datasets._read_body(handle, 5)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert values.tobytes() == load_csv(path).values.tobytes()
+        assert values.shape == (20_000, 5) and peak < 1.5 * values.nbytes
 
 
 class TestRoundTrip:
