@@ -49,11 +49,9 @@ from .ols import (
     DataMatrix,
     FitResult,
     ModelSpec,
-    estimate_sigma2,
     fit,
     r2_centered,
     r2_noncentered,
-    sum_of_squares_report,
 )
 from .replication import ReplicationEntry, replication_table
 
@@ -79,7 +77,6 @@ __all__ = [
     "belsley_csv_path",
     "derive_seed",
     "errors",
-    "estimate_sigma2",
     "fit",
     "full_report",
     "generate_normal_column",
@@ -95,7 +92,6 @@ __all__ = [
     "solve_least_squares",
     "stewart_decomposition",
     "stewart_index",
-    "sum_of_squares_report",
     "to_csv",
     "variance_factors",
     "vif",

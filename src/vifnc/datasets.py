@@ -24,7 +24,6 @@ import codecs
 import csv
 import io
 import math
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO
@@ -74,10 +73,11 @@ def belsley_csv_path() -> Path:
 
 #: Body bytes read per chunk; each chunk is extended to the next newline.
 _CHUNK_BYTES = 1 << 20
+#: The bytes of a numeral: among strings of these, ``float()`` accepts
+#: exactly the grammar in the module docstring.
+_NUMERAL_BYTES = b"0123456789eE+-."
 #: The only bytes a chunk may hold, once CRLF is LF, to go to NumPy's C parser.
-_FAST_BYTES = b"0123456789eE+-.,\n"
-#: A finite decimal numeral, the only cell the CSV contract accepts.
-_NUMERAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+_FAST_BYTES = _NUMERAL_BYTES + b",\n"
 
 
 def load_csv(source: str | Path | IO) -> DataMatrix:
@@ -128,6 +128,7 @@ def _parse_csv(handle: IO[bytes]) -> DataMatrix:
     values = _read_body(handle, len(header))
     if not len(values):
         raise ParseError("no data rows after the header")
+    values.setflags(write=False)  # nothing else holds it, so DataMatrix need not copy it
     return DataMatrix(tuple(header), values)
 
 
@@ -157,12 +158,11 @@ def _read_header(handle: IO[bytes]) -> tuple[list[str], int]:
 def _read_body(handle: IO[bytes], width: int) -> np.ndarray:
     """Every data row after the header as an (n, width) array.
 
-    A first pass reads the body whole to count its lines and lets it go;
-    then the result array is allocated once, and the rows of each fast
-    chunk are copied into it. A load's largest allocations so come in a
-    fixed order, the body and then the result, whatever the bytes, and
-    the heap the rest of the process works in, with its peak resident
-    set, does not depend on how the rows fall into chunks.
+    A first pass counts the body's lines; then the result array is
+    allocated once, and the rows of each fast chunk are copied into it.
+    A load so holds one copy of the matrix and one chunk of the body,
+    and its largest allocation, the result, does not depend on how the
+    rows fall into chunks.
     """
     values = np.empty((_count_lines(handle), width))
     filled = 0
@@ -186,9 +186,12 @@ def _count_lines(handle: IO[bytes]) -> int:
     the rows of the fast chunks.
     """
     start = handle.tell()
-    body = handle.read()
+    lines, last = 0, b"\n"
+    while piece := handle.read(_CHUNK_BYTES):
+        lines += piece.count(b"\n")
+        last = piece[-1:]
     handle.seek(start)
-    return body.count(b"\n") + (body[-1:] not in (b"", b"\n"))
+    return lines + (last != b"\n")
 
 
 def _fast_block(chunk: bytes, width: int) -> np.ndarray | None:
@@ -233,7 +236,7 @@ def _numeral(cell: str, row: int, col: int) -> float:
         raise ParseError(f"not a number: {cell!r}", row=row, col=col) from None
     if not math.isfinite(value):
         raise NonFiniteValue(f"non-finite value: {cell!r}", row=row, col=col)
-    if not _NUMERAL.fullmatch(cell):
+    if cell.encode().translate(None, _NUMERAL_BYTES):
         # float() also takes '_' separators, surrounding whitespace and non-ASCII digits
         raise ParseError(f"not a number: {cell!r}", row=row, col=col)
     return value

@@ -34,11 +34,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConstantRegressor, NoConstantColumn, RankDeficient, ZeroColumn
-from .linalg import DEFAULT_RANK_RTOL, SCALED_RANK_RTOL, aux_rss
+from .linalg import aux_rss
 from .ols import INTERCEPT_NAME, DataMatrix, FitResult, ModelSpec, fit
 
-#: Auxiliary R-squared at or above 1 - PERFECT_TOL triggers the infinity
-#: sentinel for VIF/VIFnc.
+#: Auxiliary R-squared at or above 1 - DEFAULT_PERFECT_TOL, that is an RSS
+#: of at most this fraction of its total sum of squares, reads ``math.inf``.
 DEFAULT_PERFECT_TOL = 1e-12
 
 
@@ -128,33 +128,30 @@ def auxiliary_regression(
     j: str,
     regressors: Sequence[str] | None,
     mode: AuxiliaryMode,
-    rank_rtol: float = DEFAULT_RANK_RTOL,
 ) -> FitResult:
     """Regress column ``j`` on ``regressors`` (default: every other column).
 
     The fit has an intercept exactly when ``mode`` is CENTERED.
-    ``rank_rtol`` is the solver's rank tolerance, forwarded to
-    :func:`vifnc.ols.fit`.
     """
     spec = ModelSpec(j, _others(data, j, regressors), mode is AuxiliaryMode.CENTERED)
-    return fit(data, spec, rank_rtol=rank_rtol)
+    return fit(data, spec)
 
 
 def _is_constant(x: np.ndarray) -> bool:
     return float(x.min()) == float(x.max())
 
 
-def _ratio_or_inf(tss, rss, perfect_tol: float) -> np.ndarray:
-    """``tss / rss`` elementwise, or ``inf`` once rss is at most ``perfect_tol * tss``."""
+def _ratio_or_inf(tss, rss) -> np.ndarray:
+    """``tss / rss`` elementwise, or ``inf`` once ``rss <= DEFAULT_PERFECT_TOL * tss``."""
     tss, rss = np.asarray(tss, dtype=float), np.asarray(rss, dtype=float)
-    perfect = rss <= perfect_tol * tss
+    perfect = rss <= DEFAULT_PERFECT_TOL * tss
     return np.where(perfect, np.inf, tss / np.where(perfect, 1.0, rss))
 
 
-def _vif_and_term(x: np.ndarray, rss: float, perfect_tol: float) -> tuple[float, float]:
+def _vif_and_term(x: np.ndarray, rss: float) -> tuple[float, float]:
     """VIF and ``n*mean^2/RSS`` of ``x``; the term is inf with the VIF unless the mean is 0."""
     mean = float(x.mean())
-    value = float(_ratio_or_inf(float(((x - mean) ** 2).sum()), rss, perfect_tol))
+    value = float(_ratio_or_inf(float(((x - mean) ** 2).sum()), rss))
     if math.isinf(value):
         return value, math.inf if mean != 0.0 else 0.0
     return value, x.shape[0] * mean * mean / rss
@@ -171,8 +168,6 @@ def vif(
     data: DataMatrix,
     j: str,
     regressors: Sequence[str] | None = None,
-    *,
-    perfect_tol: float = DEFAULT_PERFECT_TOL,
 ) -> float:
     """Classical variance inflation factor of column ``j``.
 
@@ -180,21 +175,19 @@ def vif(
     the given regressors, evaluated as TSS_centered/RSS for stability.
 
     Returns ``math.inf`` when the auxiliary R2 reaches 1 within
-    ``perfect_tol``; raises :class:`ConstantRegressor` when column j is
-    exactly constant.
+    ``DEFAULT_PERFECT_TOL``; raises :class:`ConstantRegressor` when
+    column j is exactly constant.
     """
     x = data.column(j)
     if _is_constant(x):
         raise ConstantRegressor(f"column {j!r} is constant; centered VIF is undefined")
-    return _vif_and_term(x, _rss_on_others(data, j, regressors, intercept=True), perfect_tol)[0]
+    return _vif_and_term(x, _rss_on_others(data, j, regressors, intercept=True))[0]
 
 
 def vifnc(
     data: DataMatrix,
     j: str,
     regressors: Sequence[str] | None = None,
-    *,
-    perfect_tol: float = DEFAULT_PERFECT_TOL,
 ) -> float:
     """Non-centered variance inflation factor of column ``j``.
 
@@ -208,15 +201,13 @@ def vifnc(
     if tss == 0.0:
         raise ZeroColumn(f"column {j!r} is identically zero")
     rss = _rss_on_others(data, j, regressors, intercept=False)
-    return float(_ratio_or_inf(tss, rss, perfect_tol))
+    return float(_ratio_or_inf(tss, rss))
 
 
 def stewart_index(
     data: DataMatrix,
     j: str,
     regressors: Sequence[str] | None = None,
-    *,
-    perfect_tol: float = DEFAULT_PERFECT_TOL,
 ) -> float:
     """Stewart's collinearity index k_j^2 from cross products.
 
@@ -234,15 +225,13 @@ def stewart_index(
     q = others.T @ x
     if np.linalg.matrix_rank(gram, hermitian=True) < gram.shape[0]:
         raise RankDeficient("cross-product matrix of the remaining columns is singular")
-    return float(_ratio_or_inf(tss, tss - float(q @ np.linalg.solve(gram, q)), perfect_tol))
+    return float(_ratio_or_inf(tss, tss - float(q @ np.linalg.solve(gram, q))))
 
 
 def stewart_decomposition(
     data: DataMatrix,
     j: str,
     regressors: Sequence[str] | None = None,
-    *,
-    perfect_tol: float = DEFAULT_PERFECT_TOL,
 ) -> tuple[float, float]:
     """Split Stewart's index into its VIF part and the mean-driven part.
 
@@ -257,14 +246,12 @@ def stewart_decomposition(
     x = data.column(j)
     if _is_constant(x):
         raise ConstantRegressor(f"column {j!r} is constant; the decomposition is undefined")
-    return _vif_and_term(x, _rss_on_others(data, j, regressors, intercept=True), perfect_tol)
+    return _vif_and_term(x, _rss_on_others(data, j, regressors, intercept=True))
 
 
 def variance_factors(
     data: DataMatrix,
     spec: ModelSpec,
-    *,
-    rank_rtol: float = SCALED_RANK_RTOL,
 ) -> list[VarianceFactor]:
     """Coefficient variances of the model as multiples of sigma^2.
 
@@ -278,12 +265,12 @@ def variance_factors(
 
     Raises :class:`RankDeficient` when the design's numerical rank is
     below its column count: with unit-length columns, a singular value
-    below ``rank_rtol`` times the largest counts as zero, whatever the
-    columns' units.
+    below :data:`vifnc.linalg.SCALED_RANK_RTOL` times the largest counts
+    as zero, whatever the columns' units.
     """
     design = data.matrix(spec.regressors, spec.intercept)
     names = ((INTERCEPT_NAME,) if spec.intercept else ()) + spec.regressors
-    rss, rank = aux_rss(design, rank_rtol)
+    rss, rank = aux_rss(design)
     if rank < design.shape[1]:
         raise RankDeficient("model design is numerically rank deficient")
     return [
@@ -301,8 +288,6 @@ def variance_factors(
 def intercept_trick(
     data: DataMatrix,
     regressors: Sequence[str],
-    *,
-    perfect_tol: float = DEFAULT_PERFECT_TOL,
 ) -> list[tuple[str, float]]:
     """VIFnc of every regressor in a set containing an explicit ones column.
 
@@ -323,7 +308,7 @@ def intercept_trick(
     for j, total in zip(regressors, tss):
         if total == 0.0:
             raise ZeroColumn(f"column {j!r} is identically zero")
-    values = _ratio_or_inf(tss, aux_rss(design)[0], perfect_tol)
+    values = _ratio_or_inf(tss, aux_rss(design)[0])
     return [(j, float(value)) for j, value in zip(regressors, values)]
 
 
@@ -331,8 +316,6 @@ def full_report(
     data: DataMatrix,
     spec: ModelSpec,
     thresholds: Thresholds = Thresholds(),
-    *,
-    perfect_tol: float = DEFAULT_PERFECT_TOL,
 ) -> CollinearityReport:
     """One diagnostics row per regressor of ``spec``, in spec order.
 
@@ -378,12 +361,12 @@ def full_report(
         mean = float(x.mean())
         cv = math.inf if mean == 0.0 else float(x.std(ddof=1)) / abs(mean)
         tss_unc = float(x @ x)
-        value_nc = float(_ratio_or_inf(tss_unc, rss_nc[i], perfect_tol))
+        value_nc = float(_ratio_or_inf(tss_unc, rss_nc[i]))
 
         value_vif = centered = term = None
         if not _is_constant(x):
             centered = float(rss_c[i])
-            value_vif, term = _vif_and_term(x, centered, perfect_tol)
+            value_vif, term = _vif_and_term(x, centered)
 
         essential = value_vif is not None and value_vif >= thresholds.vif
         nonessential = value_nc >= thresholds.vifnc and not essential
@@ -393,7 +376,7 @@ def full_report(
                 mean=mean,
                 vif=value_vif,
                 vifnc=value_nc,
-                stewart_k2=float(_ratio_or_inf(tss_unc, rss_model[i], perfect_tol)),
+                stewart_k2=float(_ratio_or_inf(tss_unc, rss_model[i])),
                 nonessential_term=term,
                 rss_aux_centered=centered,
                 rss_aux_noncentered=float(rss_nc[i]),

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import DEFAULT_PERFECT_TOL, Thresholds, _ratio_or_inf
+from .diagnostics import Thresholds, _ratio_or_inf
 from .errors import ConfigError
 from .datasets import _derive_seeds, _normal_columns
 from .linalg import aux_rss
@@ -108,7 +108,7 @@ class MonteCarloSummary:
     vifnc_exceedance: float
 
 
-#: Regressor columns per kind, and the column diagnosed by default.
+#: Regressor columns per kind, and the column diagnosed.
 _WIDTH = {"independent": 3, "essential": 2, "nonessential": 2}
 _DESIGNATED = {"independent": 0, "essential": 1, "nonessential": 0}
 
@@ -150,12 +150,7 @@ def _stats(values: np.ndarray) -> DiagnosticStats:
     )
 
 
-def run_scenario(
-    spec: ScenarioSpec,
-    thresholds: Thresholds = Thresholds(),
-    *,
-    full_sweep: bool = False,
-) -> MonteCarloSummary:
+def run_scenario(spec: ScenarioSpec, thresholds: Thresholds = Thresholds()) -> MonteCarloSummary:
     """Run all replications and aggregate.
 
     Replication r uses child seed ``derive_seed(master_seed, r)``; the
@@ -163,12 +158,11 @@ def run_scenario(
     per column index, and summarized at the end, so the summary is a
     function of the seed alone.
 
-    By default only the structurally collinear column is diagnosed, which
-    keeps the summary interpretable. ``full_sweep`` instead pools the
-    diagnostics of every column (each against the rest) into the sample.
-    A replication counts as failed when any requested diagnostic
-    degenerates (rank-deficient draw or perfect collinearity); failures
-    are disclosed in ``n_failed`` and excluded from the percentiles.
+    Only the structurally collinear column is diagnosed, which keeps the
+    summary interpretable. A replication counts as failed when either
+    diagnostic degenerates (rank-deficient draw or perfect collinearity);
+    failures are disclosed in ``n_failed`` and excluded from the
+    percentiles.
     """
     designs = np.empty((spec.replications, spec.n, 1 + _WIDTH[spec.kind]))
     designs[:, :, 0] = 1.0
@@ -177,14 +171,12 @@ def run_scenario(
     x = designs[:, :, 1:]
     tss = np.einsum("rij,rij->rj", x, x)
     tss_centered = ((x - x.mean(axis=1, keepdims=True)) ** 2).sum(axis=1)
+    j = _DESIGNATED[spec.kind]
     # a constant or zero column has RSS 0 and so reads inf, like a perfect fit
-    vifs = _ratio_or_inf(tss_centered, aux_rss(designs)[0][:, 1:], DEFAULT_PERFECT_TOL)
-    vifncs = _ratio_or_inf(tss, aux_rss(x)[0], DEFAULT_PERFECT_TOL)
-    if not full_sweep:
-        vifs, vifncs = (a[:, [_DESIGNATED[spec.kind]]] for a in (vifs, vifncs))
-    ok = np.isfinite(vifs).all(axis=1) & np.isfinite(vifncs).all(axis=1)
-    varr = vifs[ok].ravel()
-    warr = vifncs[ok].ravel()
+    varr = _ratio_or_inf(tss_centered[:, j], aux_rss(designs)[0][:, 1 + j])
+    warr = _ratio_or_inf(tss[:, j], aux_rss(x)[0][:, j])
+    ok = np.isfinite(varr) & np.isfinite(warr)
+    varr, warr = varr[ok], warr[ok]
     succeeded = int(ok.sum())
     failed = spec.replications - succeeded
     return MonteCarloSummary(

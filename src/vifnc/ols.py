@@ -13,7 +13,7 @@ the whole point of the diagnostics built on top of this module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .errors import (
     UnknownColumn,
     ZeroTotalSumOfSquares,
 )
-from .linalg import DEFAULT_RANK_RTOL, solve_least_squares
+from .linalg import solve_least_squares
 
 INTERCEPT_NAME = "intercept"
 
@@ -36,6 +36,9 @@ class DataMatrix:
     ``values`` has one column per entry of ``names``. Column names must be
     unique and every value finite. A constant column is legal: the
     intercept trick depends on passing an explicit all-ones regressor.
+    A read-only C-ordered float64 array is kept as it is; any other
+    ``values`` is copied, so later writes to the caller's array do not
+    reach the matrix.
     """
 
     names: tuple[str, ...]
@@ -47,7 +50,9 @@ class DataMatrix:
             raise ValueError("data matrix needs at least one column")
         if len(set(names)) != len(names):
             raise ValueError("column names must be unique")
-        values = np.array(self.values, dtype=float, order="C")
+        values = np.asarray(self.values, dtype=float, order="C")
+        if values.flags.writeable:  # the caller may still write to it
+            values = values.copy()
         if values.ndim != 2 or values.shape[1] != len(names):
             raise ValueError(
                 f"values must be 2-d with {len(names)} columns, got shape {values.shape}"
@@ -139,15 +144,7 @@ class FitResult:
         return self.fitted.shape[0]
 
 
-class SumOfSquares(NamedTuple):
-    tss_uncentered: float
-    ess_uncentered: float
-    rss: float
-    tss_centered: float
-    ess_centered: float
-
-
-def fit(data: DataMatrix, spec: ModelSpec, rank_rtol: float = DEFAULT_RANK_RTOL) -> FitResult:
+def fit(data: DataMatrix, spec: ModelSpec) -> FitResult:
     """Fit ``spec`` on ``data`` by QR least squares.
 
     Parameters
@@ -157,9 +154,6 @@ def fit(data: DataMatrix, spec: ModelSpec, rank_rtol: float = DEFAULT_RANK_RTOL)
         When ``spec.intercept`` is true a ones column is prepended
         internally; user data never needs to contain one except for the
         intercept-trick path, which passes it as a named regressor.
-    rank_rtol : float
-        Rank tolerance forwarded to the solver: a singular value of the
-        design below ``rank_rtol`` times the largest counts as zero.
 
     Raises
     ------
@@ -176,7 +170,7 @@ def fit(data: DataMatrix, spec: ModelSpec, rank_rtol: float = DEFAULT_RANK_RTOL)
             f"{data.n} observations cannot support {X.shape[1]} design columns"
         )
 
-    sol = solve_least_squares(X, y, rank_rtol=rank_rtol)
+    sol = solve_least_squares(X, y)
     fitted = X @ sol.coefficients
     residuals = y - fitted
     # a constant column's float mean can miss the constant by an ulp, which
@@ -221,27 +215,3 @@ def r2_centered(result: FitResult) -> float:
     if result.tss_centered == 0.0:
         raise ZeroTotalSumOfSquares("dependent column is constant")
     return 1.0 - result.rss / result.tss_centered
-
-
-def sum_of_squares_report(result: FitResult) -> SumOfSquares:
-    """The five sum-of-squares components as a named tuple."""
-    return SumOfSquares(
-        tss_uncentered=result.tss_uncentered,
-        ess_uncentered=result.ess_uncentered,
-        rss=result.rss,
-        tss_centered=result.tss_centered,
-        ess_centered=result.ess_centered,
-    )
-
-
-def estimate_sigma2(result: FitResult) -> float:
-    """Estimated disturbance variance RSS/(n-p).
-
-    The diagnostics in this package only ever report variances as
-    multiples of sigma^2; this helper is for users who want an absolute
-    scale and accept the usual OLS estimate.
-    """
-    p = result.coefficients.shape[0]
-    if result.n <= p:
-        raise TooFewObservations("no residual degrees of freedom")
-    return result.rss / (result.n - p)

@@ -17,7 +17,6 @@ from vifnc import (
     run_scenario,
     solve_least_squares,
     stewart_index,
-    sum_of_squares_report,
     variance_factors,
     vif,
     vifnc,
@@ -155,7 +154,7 @@ def test_criterion_6_decomposition_identities():
         data = DataMatrix.from_columns(cols)
         intercept = bool(trial % 2)
         spec = ModelSpec("y", tuple(f"x{i}" for i in range(k)), intercept=intercept)
-        ss = sum_of_squares_report(fit(data, spec))
+        ss = fit(data, spec)
         gap4 = abs(ss.tss_uncentered - ss.ess_uncentered - ss.rss)
         checks.append((f"uncentered identity trial {trial}",
                        gap4 <= DECOMP_RTOL * ss.tss_uncentered))

@@ -348,7 +348,7 @@ class TestMontecarlo:
         assert first == second
 
     def test_zero_successes_render_null_and_na(self, tmp_path, capsys):
-        # the relation is exact at perfect_tol, so every replication fails
+        # the relation is exact at DEFAULT_PERFECT_TOL, so every replication fails
         config = tmp_path / "degenerate.cfg"
         config.write_text(
             "kind = essential\nn = 20\nreplications = 5\nmaster_seed = 1\n"

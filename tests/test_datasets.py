@@ -1,6 +1,8 @@
 import hashlib
 import io
+import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -22,6 +24,9 @@ from vifnc import (
 from vifnc import datasets
 from vifnc.datasets import _derive_seeds, _normal_columns
 from vifnc.errors import DuplicateHeader, NonFiniteValue, ParseError, RaggedRow
+
+#: The numeral grammar of the CSV contract, the oracle for the loader's byte-class rule.
+NUMERAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
 
 
 class TestBelsley:
@@ -132,6 +137,18 @@ class TestLoadCsv:
             assert type(err.value) is ParseError
             assert (err.value.row, err.value.col) == (3, 2)
             assert str(err.value) == f"not a number: {cell!r} (row 3, column 2)"
+
+    def test_every_short_cell_follows_the_numeral_grammar(self):
+        # both parsers: a bare cell goes to NumPy's C parser, a quoted one row-wise
+        for length in range(1, 6):
+            for cell in map("".join, itertools.product("01eE+-.", repeat=length)):
+                want = float(cell) if NUMERAL.fullmatch(cell) else None
+                for text in (f"x\n{cell}\n", f'x\n"{cell}"\n'):
+                    try:
+                        got = load_csv(io.StringIO(text)).values[0, 0]
+                    except ParseError:
+                        got = None
+                    assert got == want, text
 
     def test_quoted_cells_and_any_line_end_are_accepted(self):
         texts = ('a,b\r\n"1.5",2\r\n3,"-4e2"\r\n', 'a,b\n"1.5",2\n3,"-4e2"', "a,b\r1.5,2\r3,-4e2\r")
@@ -274,30 +291,22 @@ class TestChunkedIngestion:
         assert any(fast_chunks) and not all(fast_chunks)
 
     def test_rows_are_copied_into_one_array(self, monkeypatch, tmp_path):
-        # after the line count the body holds about one result's worth: each
-        # chunk's rows go into the presized result, never gathered and concatenated
-        count_lines = datasets._count_lines
-
-        def counted(handle):
-            lines = count_lines(handle)
-            tracemalloc.reset_peak()
-            return lines
-
+        # a load holds one copy of the matrix and one chunk of the body: the line
+        # count reads chunk by chunk, each chunk's rows go into the presized result
+        # (never gathered and concatenated), and DataMatrix keeps that result
         monkeypatch.setattr(datasets, "_CHUNK_BYTES", 1 << 16)
-        monkeypatch.setattr(datasets, "_count_lines", counted)
         rng = np.random.default_rng(3)
+        matrix = DataMatrix(tuple("abcdefghi"), rng.normal(0.0, 1.0, (50_000, 9)))
         path = tmp_path / "tall.csv"
-        path.write_text(to_csv(DataMatrix(tuple("abcde"), rng.normal(0.0, 1.0, (20_000, 5)))))
-        with path.open("rb") as handle:
-            handle.readline()
-            tracemalloc.start()
-            try:
-                values = datasets._read_body(handle, 5)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert values.tobytes() == load_csv(path).values.tobytes()
-        assert values.shape == (20_000, 5) and peak < 1.5 * values.nbytes
+        path.write_text(to_csv(matrix))
+        tracemalloc.start()
+        try:
+            values = load_csv(path).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert values.tobytes() == matrix.values.tobytes()
+        assert peak <= 1.25 * values.nbytes
 
 
 class TestRoundTrip:

@@ -19,6 +19,7 @@ from vifnc import (
     vif,
     vifnc,
 )
+from vifnc.diagnostics import DEFAULT_PERFECT_TOL, _ratio_or_inf
 from vifnc.errors import (
     ConstantRegressor,
     NoConstantColumn,
@@ -95,10 +96,11 @@ class TestVif:
         assert math.isinf(vif(data, "x", ["double", "z"]))
 
     def test_sentinel_triggers_exactly_at_tolerance(self):
-        # x on z through the aux fit has R2 exactly 0.5 by construction
-        data = DataMatrix.from_columns({"x": [1.0, 0.0], "z": [1.0, 1.0]})
-        assert math.isinf(vifnc(data, "x", ["z"], perfect_tol=0.5))
-        assert vifnc(data, "x", ["z"], perfect_tol=0.49) == pytest.approx(2.0)
+        tss = 3.0
+        at = DEFAULT_PERFECT_TOL * tss
+        above = np.nextafter(at, np.inf)
+        assert math.isinf(_ratio_or_inf(tss, at))
+        assert _ratio_or_inf(tss, above) == tss / above
 
 
 class TestVifnc:

@@ -109,14 +109,6 @@ class TestRunScenario:
         assert summary.n_success == 0
         assert math.isnan(summary.vif_stats.median)
 
-    def test_full_sweep_pools_all_columns(self):
-        spec = ScenarioSpec(kind="independent", n=20, replications=50, master_seed=2)
-        single = run_scenario(spec)
-        sweep = run_scenario(spec, full_sweep=True)
-        assert sweep.n_success == single.n_success
-        # three columns per replication instead of one widens the sample
-        assert sweep.vifnc_stats.max >= single.vifnc_stats.max
-
     def test_custom_thresholds_move_exceedance(self):
         summary = run_scenario(nonessential(), Thresholds(vif=1.0, vifnc=1.0))
         assert summary.vif_exceedance == 1.0
@@ -143,7 +135,6 @@ def one_replication(spec, r):
     ), "a"
 
 
-@pytest.mark.parametrize("full_sweep", [False, True])
 @pytest.mark.parametrize(
     "spec",
     [
@@ -157,22 +148,20 @@ def one_replication(spec, r):
     ],
     ids=["independent", "essential", "nonessential", "nonessential-tight", "degenerate"],
 )
-def test_stacked_run_matches_one_replication_at_a_time(spec, full_sweep):
+def test_stacked_run_matches_one_replication_at_a_time(spec):
     thresholds = Thresholds()
     vifs, vifncs, failed = [], [], 0
     for r in range(spec.replications):
         data, designated = one_replication(spec, r)
-        pairs = []
-        for name in data.names if full_sweep else (designated,):
-            rest = [o for o in data.names if o != name]
-            pairs.append((vif(data, name, rest), vifnc(data, name, rest)))
-        if any(math.isinf(v) or math.isinf(w) for v, w in pairs):
+        rest = [o for o in data.names if o != designated]
+        v, w = vif(data, designated, rest), vifnc(data, designated, rest)
+        if math.isinf(v) or math.isinf(w):
             failed += 1
             continue
-        vifs += [v for v, _ in pairs]
-        vifncs += [w for _, w in pairs]
+        vifs.append(v)
+        vifncs.append(w)
 
-    summary = run_scenario(spec, thresholds, full_sweep=full_sweep)
+    summary = run_scenario(spec, thresholds)
     assert (summary.n_success, summary.n_failed) == (spec.replications - failed, failed)
     for label, values, threshold in (
         ("vif", vifs, thresholds.vif),
