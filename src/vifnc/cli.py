@@ -1,19 +1,21 @@
 """Command-line interface: diagnose, replicate, aux, montecarlo.
 
 Exit codes: 0 success (for ``replicate``: all targets matched), 1 failed
-replication targets, 2 input or usage errors, 3 numerically degenerate
-input that left no computable rows.
+replication targets, 2 input or usage errors, 3 a ``diagnose`` report
+printed in full whose every row is degenerate (no finite ``vif`` or
+``vifnc``).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 from .datasets import load_csv
 from .diagnostics import AuxiliaryMode, Thresholds, auxiliary_regression, full_report
-from .errors import RankDeficient, VifncError
+from .errors import VifncError
 from .montecarlo import load_scenario_config, run_scenario
 from .ols import ModelSpec
 from .replication import replication_table
@@ -49,7 +51,14 @@ def cmd_diagnose(args) -> int:
     thresholds = Thresholds(vif=args.vif_threshold, vifnc=args.vifnc_threshold)
     report = full_report(data, spec, thresholds)
     sys.stdout.write(render_report(report, spec, dataset=str(args.csv), fmt=args.format))
+    if not any(_finite(row.vif) or _finite(row.vifnc) for row in report.rows):
+        print("error: the design is singular: no row has a finite vif or vifnc", file=sys.stderr)
+        return 3
     return 0
+
+
+def _finite(value: float | None) -> bool:
+    return value is not None and math.isfinite(value)
 
 
 def cmd_replicate(args) -> int:
@@ -149,9 +158,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except RankDeficient as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (VifncError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,9 +11,15 @@ kernel, :func:`vifnc.linalg.aux_rss`: one Householder factor of the design,
 the SVD of that factor with unit-length columns, and
 ``RSS_j = 1 / [(A'A)^+]_jj`` over the numerically nonzero singular values.
 A column with weight in the numerical null space gets RSS 0, which every
-ratio turns into ``math.inf`` in that column's row only. ``full_report``
-raises ``RankDeficient`` only when the model design's null space has two
-or more dimensions and every regressor has weight in it.
+ratio turns into ``math.inf`` in that column's row only; ``full_report``
+never raises on a singular design.
+
+``full_report`` and ``variance_factors`` read one factor of the model's
+regressors: R of ``[1, X] = QR``, the kernel on ``R`` (centered) and on
+``R[:, 1:]`` (through the origin, since ``X = Q R[:, 1:]``), and each
+column's mean, ``x'x``, centered TSS and constant flag. A DataMatrix keeps
+the factor of the latest regressor tuple it was asked for, so a report and
+the variance factors of one model factor the n-row design once.
 
 Conventions: ``vifnc(j, regressors)`` regresses j on exactly the named
 regressors and never adds a ones column; passing an explicit all-ones
@@ -29,6 +35,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -148,13 +155,11 @@ def _ratio_or_inf(tss, rss) -> np.ndarray:
     return np.where(perfect, np.inf, tss / np.where(perfect, 1.0, rss))
 
 
-def _vif_and_term(x: np.ndarray, rss: float) -> tuple[float, float]:
-    """VIF and ``n*mean^2/RSS`` of ``x``; the term is inf with the VIF unless the mean is 0."""
-    mean = float(x.mean())
-    value = float(_ratio_or_inf(float(((x - mean) ** 2).sum()), rss))
-    if math.isinf(value):
-        return value, math.inf if mean != 0.0 else 0.0
-    return value, x.shape[0] * mean * mean / rss
+def _term(vif: float, mean: float, n: int, rss: float) -> float:
+    """``n*mean^2/rss``, Stewart's index minus the VIF; inf with the VIF unless the mean is 0."""
+    if math.isinf(vif):
+        return math.inf if mean != 0.0 else 0.0
+    return n * mean * mean / rss
 
 
 def _rss_on_others(
@@ -162,6 +167,67 @@ def _rss_on_others(
 ) -> float:
     """RSS of the auxiliary regression of ``j``: the kernel's last entry on ``[design, x_j]``."""
     return float(aux_rss(data.matrix(_others(data, j, regressors) + (j,), intercept))[0][-1])
+
+
+def _centered_on_others(
+    data: DataMatrix, j: str, regressors: Sequence[str] | None
+) -> tuple[float, float]:
+    """VIF and :func:`_term` of column ``j`` regressed on ``regressors`` with an intercept."""
+    x = data.column(j)
+    mean = float(x.mean())
+    rss = _rss_on_others(data, j, regressors, intercept=True)
+    value = float(_ratio_or_inf(float(((x - mean) ** 2).sum()), rss))
+    return value, _term(value, mean, data.n, rss)
+
+
+class _Factor:
+    """One Householder factor of ``[1, X]`` and the column sums a report reads.
+
+    ``X`` holds ``regressors`` in order and ``r`` is R of ``[1, X] = QR``.
+    Per regressor: ``mean``, ``xtx`` (``x'x``), ``tss_c`` (the centered
+    TSS) and ``constant`` (every entry equal), each in the floating-point
+    order of ``x.mean()``, ``x @ x`` and ``((x - mean) ** 2).sum()`` on the
+    column, so the values do not depend on the route that read them. The
+    kernel runs on first use, so a report names a zero column before the
+    kernel can object to the design's shape.
+    """
+
+    def __init__(self, data: DataMatrix, regressors: tuple[str, ...]):
+        self.regressors = regressors
+        columns = [data.column(j) for j in regressors]
+        # on the strided view: BLAS sums a contiguous copy in another order
+        self.xtx = [float(x @ x) for x in columns]
+        design = np.empty((data.n, len(columns) + 1), order="F")
+        design[:, 0] = 1.0
+        for i, x in enumerate(columns, start=1):
+            design[:, i] = x
+        self.r = np.linalg.qr(design, mode="r")
+        # the QR worked on a copy, so each contiguous column is now scratch
+        self.mean, self.tss_c, self.constant = [], [], []
+        for x in design.T[1:]:
+            self.constant.append(bool(x.min() == x.max()))
+            self.mean.append(float(x.mean()))
+            x -= self.mean[-1]
+            self.tss_c.append(float(np.multiply(x, x, out=x).sum()))
+
+    @cached_property
+    def centered(self) -> tuple[np.ndarray, np.ndarray]:
+        """``aux_rss`` of ``[1, X]``: the ones column's RSS first, then each regressor's."""
+        return aux_rss(self.r)
+
+    @cached_property
+    def noncentered(self) -> tuple[np.ndarray, np.ndarray]:
+        """``aux_rss`` of ``X``, through the origin."""
+        return aux_rss(self.r[:, 1:])
+
+
+def _factor(data: DataMatrix, regressors: tuple[str, ...]) -> _Factor:
+    """The factor of ``regressors`` in ``data``, kept on ``data`` for the latest tuple asked."""
+    factor = data.__dict__.get("_factor")
+    if factor is None or factor.regressors != regressors:
+        factor = _Factor(data, regressors)
+        object.__setattr__(data, "_factor", factor)  # frozen, but its values never change
+    return factor
 
 
 def vif(
@@ -181,7 +247,7 @@ def vif(
     x = data.column(j)
     if _is_constant(x):
         raise ConstantRegressor(f"column {j!r} is constant; centered VIF is undefined")
-    return _vif_and_term(x, _rss_on_others(data, j, regressors, intercept=True))[0]
+    return _centered_on_others(data, j, regressors)[0]
 
 
 def vifnc(
@@ -246,7 +312,7 @@ def stewart_decomposition(
     x = data.column(j)
     if _is_constant(x):
         raise ConstantRegressor(f"column {j!r} is constant; the decomposition is undefined")
-    return _vif_and_term(x, _rss_on_others(data, j, regressors, intercept=True))
+    return _centered_on_others(data, j, regressors)
 
 
 def variance_factors(
@@ -268,20 +334,22 @@ def variance_factors(
     below :data:`vifnc.linalg.SCALED_RANK_RTOL` times the largest counts
     as zero, whatever the columns' units.
     """
-    design = data.matrix(spec.regressors, spec.intercept)
-    names = ((INTERCEPT_NAME,) if spec.intercept else ()) + spec.regressors
-    rss, rank = aux_rss(design)
-    if rank < design.shape[1]:
+    factor = _factor(data, spec.regressors)
+    rss, rank = factor.centered if spec.intercept else factor.noncentered
+    if rank < rss.shape[0]:
         raise RankDeficient("model design is numerically rank deficient")
+    # the ones column: x'x = n, and it is the intercept
+    lead = [(INTERCEPT_NAME, float(data.n), True)] if spec.intercept else []
+    columns = lead + list(zip(spec.regressors, factor.xtx, factor.constant))
     return [
         VarianceFactor(
             variable=name,
             var_over_sigma2=float(var),
-            var_orthogonal_over_sigma2=1.0 / float(x @ x),
-            ratio=float(var) * float(x @ x),
-            intercept_position=(spec.intercept and idx == 0) or _is_constant(x),
+            var_orthogonal_over_sigma2=1.0 / xtx,
+            ratio=float(var) * xtx,
+            intercept_position=constant,
         )
-        for idx, (name, var, x) in enumerate(zip(names, 1.0 / rss, design.T))
+        for (name, xtx, constant), var in zip(columns, 1.0 / rss)
     ]
 
 
@@ -327,46 +395,40 @@ def full_report(
     ``nonessential_suspect`` when vifnc >= thresholds.vifnc while vif
     stayed below its threshold (or was undefined).
 
-    Raises :class:`ZeroColumn` for an identically zero regressor,
+    Every row comes from the model's one factor (see the module
+    docstring), which ``variance_factors`` then reuses. A singular design
+    gives ``inf`` rows, never an exception: a column with weight in the
+    numerical null space reads ``inf``, and the others keep their values.
+
+    Raises :class:`ZeroColumn` for an identically zero regressor, and
     :class:`TooFewObservations` when a centered auxiliary regression has
-    more columns than there are rows, and :class:`RankDeficient` only when
-    the model design's null space has two or more dimensions and every
-    regressor has weight in it.
+    more columns than there are rows.
     """
     if len(spec.regressors) < 2:
         raise ValueError("a collinearity report needs at least two regressors")
     data.column(spec.dependent)
-    for j in spec.regressors:
-        x = data.column(j)
-        if float(x @ x) == 0.0:
+    factor = _factor(data, spec.regressors)
+    for j, xtx in zip(spec.regressors, factor.xtx):
+        if xtx == 0.0:
             raise ZeroColumn(f"column {j!r} is identically zero")
-    # [1, X] = QR gives X = Q R[:, 1:]: both kernel calls run on (k+1)-row factors
-    r = np.linalg.qr(data.matrix(spec.regressors, intercept=True), mode="r")
-    rss_nc, rank_nc = aux_rss(r[:, 1:])
-    rss_c, rank_c = aux_rss(r)
-    rss_c = rss_c[1:]
-    if spec.intercept:
-        rss_model, null_dim = rss_c, len(spec.regressors) + 1 - rank_c
-    else:
-        rss_model, null_dim = rss_nc, len(spec.regressors) - rank_nc
-    if null_dim >= 2 and not rss_model.any():
-        raise RankDeficient(
-            "model design is singular: every regressor lies in its "
-            f"{int(null_dim)}-dimensional null space"
-        )
+    rss_nc = factor.noncentered[0]
+    rss_c = factor.centered[0][1:]
+    values_nc = _ratio_or_inf(factor.xtx, rss_nc)
+    values_c = _ratio_or_inf(factor.tss_c, rss_c)
+    stewart = _ratio_or_inf(factor.xtx, rss_c if spec.intercept else rss_nc)
 
     rows = []
     for i, j in enumerate(spec.regressors):
-        x = data.column(j)
-        mean = float(x.mean())
-        cv = math.inf if mean == 0.0 else float(x.std(ddof=1)) / abs(mean)
-        tss_unc = float(x @ x)
-        value_nc = float(_ratio_or_inf(tss_unc, rss_nc[i]))
+        mean = factor.mean[i]
+        # sd = sqrt(tss_c / (n - 1)) is x.std(ddof=1) to the bit
+        cv = math.inf if mean == 0.0 else math.sqrt(factor.tss_c[i] / (data.n - 1)) / abs(mean)
+        value_nc = float(values_nc[i])
 
         value_vif = centered = term = None
-        if not _is_constant(x):
+        if not factor.constant[i]:
             centered = float(rss_c[i])
-            value_vif, term = _vif_and_term(x, centered)
+            value_vif = float(values_c[i])
+            term = _term(value_vif, mean, data.n, centered)
 
         essential = value_vif is not None and value_vif >= thresholds.vif
         nonessential = value_nc >= thresholds.vifnc and not essential
@@ -376,7 +438,7 @@ def full_report(
                 mean=mean,
                 vif=value_vif,
                 vifnc=value_nc,
-                stewart_k2=float(_ratio_or_inf(tss_unc, rss_model[i])),
+                stewart_k2=float(stewart[i]),
                 nonessential_term=term,
                 rss_aux_centered=centered,
                 rss_aux_noncentered=float(rss_nc[i]),

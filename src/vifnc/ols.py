@@ -38,7 +38,8 @@ class DataMatrix:
     intercept trick depends on passing an explicit all-ones regressor.
     A read-only C-ordered float64 array is kept as it is; any other
     ``values`` is copied, so later writes to the caller's array do not
-    reach the matrix.
+    reach the matrix. :mod:`vifnc.diagnostics` keeps on the instance the
+    factor of the latest regressor tuple it was asked for.
     """
 
     names: tuple[str, ...]
@@ -71,7 +72,9 @@ class DataMatrix:
         names = tuple(columns)
         if not names:
             raise ValueError("data matrix needs at least one column")
-        return cls(names, np.column_stack([np.asarray(columns[n], dtype=float) for n in names]))
+        values = np.column_stack([np.asarray(columns[n], dtype=float) for n in names])
+        values.setflags(write=False)  # a fresh array nobody else holds: kept, not copied
+        return cls(names, values)
 
     @property
     def n(self) -> int:

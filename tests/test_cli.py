@@ -104,6 +104,33 @@ class TestDiagnose:
         assert code == 3
         assert "singular" in err
 
+    @pytest.mark.parametrize(
+        "relations, code",
+        [
+            ({"a2": lambda a, b: 2.0 * a, "b3": lambda a, b: 3.0 * b}, 3),  # [a, 2a, b, 3b]
+            ({"c": lambda a, b: a + b}, 3),  # [a, b, a + b]
+            ({"a2": lambda a, b: 2.0 * a}, 0),  # [a, b, 2a]: b's row is finite
+        ],
+    )
+    def test_exit_3_exactly_when_no_row_is_finite(self, tmp_path, capsys, relations, code):
+        rng = np.random.default_rng(21)
+        a, b = rng.normal(3.0, 1.0, 30), rng.normal(-2.0, 1.0, 30)
+        columns = {"y": rng.normal(size=30), "a": a, "b": b}
+        columns.update((name, relation(a, b)) for name, relation in relations.items())
+        path = tmp_path / "singular.csv"
+        save_csv(DataMatrix.from_columns(columns), path)
+        got, out, err = run_cli(
+            capsys, "diagnose", str(path), "--dependent", "y", "--format", "json"
+        )
+        assert got == code
+        assert ("singular" in err) == (code == 3)
+        # the report is printed in full either way
+        rows = {row["variable"]: row for row in json.loads(out)["rows"]}
+        assert list(rows) == list(columns)[1:]
+        infinite = {"value": None, "infinite": True}
+        for name, row in rows.items():
+            assert (row["vif"] == row["vifnc"] == infinite) == (name != "b" or code == 3)
+
     def test_csv_format(self, belsley_csv, capsys):
         code, out, _ = run_cli(
             capsys, "diagnose", str(belsley_csv), "--dependent", "y", "--format", "csv"
@@ -121,13 +148,14 @@ class TestDiagnose:
             rows.append(f"{i * 0.3},{a},{b},{a + b}")  # c = a + b exactly
         path = tmp_path / "collinear.csv"
         path.write_text("\n".join(rows), encoding="utf-8")
+        # every row lies in the relation, so the full report is printed and exits 3
         code, out, _ = run_cli(capsys, "diagnose", str(path), "--dependent", "y")
-        assert code == 0
+        assert code == 3
         assert " inf " in out or "inf\n" in out or "inf  " in out
         code, out, _ = run_cli(
             capsys, "diagnose", str(path), "--dependent", "y", "--format", "json"
         )
-        assert code == 0
+        assert code == 3
         row_c = next(r for r in json.loads(out)["rows"] if r["variable"] == "c")
         assert row_c["vifnc"] == {"value": None, "infinite": True}
         assert row_c["flags"]["essential_suspect"] is True

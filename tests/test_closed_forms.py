@@ -31,13 +31,12 @@ from vifnc import (
     ModelSpec,
     auxiliary_regression,
     full_report,
-    stewart_index,
     variance_factors,
     vif,
     vifnc,
 )
 from vifnc.diagnostics import DEFAULT_PERFECT_TOL
-from vifnc.errors import RankDeficient
+from vifnc.linalg import aux_rss
 
 from oracles import project_residual_rss
 
@@ -83,15 +82,7 @@ def assert_ratio(value, tss, rss):
 def test_closed_forms_match_per_column_fits(seed, n, k, noise_exponent, kind, intercept):
     data, names = sweep_data(seed, n, k, 10.0 ** -noise_exponent, kind)
     spec = ModelSpec("y", names, intercept=intercept)
-    try:
-        report = full_report(data, spec)
-    except RankDeficient:
-        # stewart_k2 keeps the Gram route's verdict on near-singular designs
-        design = (("one",) if intercept else ()) + names
-        with pytest.raises(RankDeficient):
-            for j in names:
-                stewart_index(data, j, [o for o in design if o != j])
-        report = None
+    report = full_report(data, spec)
     factors = variance_factors(data, spec)
 
     for i, j in enumerate(names):
@@ -108,8 +99,6 @@ def test_closed_forms_match_per_column_fits(seed, n, k, noise_exponent, kind, in
         assert factor.var_over_sigma2 == pytest.approx(1.0 / rss_model, rel=RTOL)
         assert factor.ratio == pytest.approx(tss / rss_model, rel=RTOL)
 
-        if report is None:
-            continue
         row = report.rows[i]
         assert row.rss_aux_noncentered == pytest.approx(aux_nc.rss, rel=RTOL)
         assert row.rss_aux_centered == pytest.approx(aux_c.rss, rel=RTOL)
@@ -138,3 +127,31 @@ def test_closed_form_rss_matches_gram_schmidt_oracle(kind, noise_exponent):
         oracle_c = project_residual_rss([np.ones(data.n)] + others, x)
         assert row.rss_aux_noncentered == pytest.approx(oracle_nc, rel=RTOL)
         assert row.rss_aux_centered == pytest.approx(oracle_c, rel=RTOL)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=8, max_value=40),
+    k=st.integers(min_value=2, max_value=5),
+    noise_exponent=st.integers(min_value=1, max_value=6),
+    kind=st.sampled_from(KINDS),
+)
+def test_through_origin_variance_factors_match_the_kernel_on_x(seed, n, k, noise_exponent, kind):
+    """``variance_factors`` reads R[:, 1:] of the report's factor of [1, X], not X itself.
+
+    Both are backward-stable factors of X, so they agree to a few eps times
+    the condition of X with unit-length columns: 3,000 designs of this
+    sweep gave at most 22 eps * cond (zero-mean columns) and 1.6 eps * cond
+    on planted relations. The gap is within 1e-10 up to cond 4.5e3; above
+    that (planted relations at noise 1e-3 and below, cond up to 8e7) the
+    bound 100 eps * cond takes over.
+    """
+    data, names = sweep_data(seed, n, k, 10.0 ** -noise_exponent, kind)
+    factors = variance_factors(data, ModelSpec("y", names, intercept=False))
+    X = data.matrix(names)
+    rss, _ = aux_rss(X)
+    cond = np.linalg.cond(X / np.linalg.norm(X, axis=0))
+    rtol = max(1e-10, 100.0 * np.finfo(float).eps * cond)
+    for factor, expected in zip(factors, 1.0 / rss):
+        assert factor.var_over_sigma2 == pytest.approx(expected, rel=rtol)

@@ -277,6 +277,21 @@ class TestChunkedIngestion:
         assert err.value.row == 3
         assert fast_chunks == [True, False]
 
+    def test_newlines_counted_across_slices(self, fast_chunks, monkeypatch):
+        # slices of 7 bytes split rows, blank lines and CRLF pairs anywhere
+        monkeypatch.setattr(datasets, "_COUNT_BYTES", 7)
+        lines = self.lines(5)
+        for text in (
+            "\n".join(lines) + "\n",
+            "\n".join(lines),
+            "\r\n".join(lines[:25] + [""] + lines[25:]) + "\r\n",
+            "\n".join(lines) + "\n\n\n",
+        ):
+            raw = text.encode()
+            assert datasets._newlines(raw) == raw.count(b"\n")
+            assert _outcome(text) == self.row_wise(monkeypatch, text)
+        assert datasets._newlines(b"") == 0
+
     def test_cells_drawn_from_the_fast_bytes(self, fast_chunks, monkeypatch):
         # every cell the C parser could see: both parsers must agree on each
         tokens = ["", "0", "7", "12", ".", "e", "E", "+", "-", "5", "e-3", "E+2", "1e400"]

@@ -401,9 +401,9 @@ class TestFullReport:
             assert math.isinf(rows[name].vif) and math.isinf(rows[name].vifnc)
         assert rows["d"].vif == pytest.approx(vif(data, "d", ["a"]), rel=1e-10)
         assert rows["d"].vifnc == pytest.approx(vifnc(data, "d", ["a"]), rel=1e-10)
-        # with every regressor in the null space no row is computable
-        with pytest.raises(RankDeficient, match="singular"):
-            full_report(data, ModelSpec("y", ("a", "b", "c")))
+        # with every regressor in the null space every row reads inf, and nothing raises
+        rows = full_report(data, ModelSpec("y", ("a", "b", "c"))).rows
+        assert all(math.isinf(row.vif) and math.isinf(row.vifnc) for row in rows)
 
     def test_zero_column_named_before_any_singular_verdict(self):
         rng = np.random.default_rng(6)
@@ -421,6 +421,66 @@ class TestFullReport:
         assert all(math.isinf(row.vif) for row in rows)
         with pytest.raises(TooFewObservations):
             full_report(data, ModelSpec("x0", ("x1", "x2", "x3", "x4")))
+
+
+class TestSharedFactor:
+    """``full_report`` and ``variance_factors`` read one factor of [1, X] per design."""
+
+    @staticmethod
+    def tall_data(seed=5, n=2_000):
+        rng = np.random.default_rng(seed)
+        columns = {"y": rng.normal(size=n), "one": np.ones(n)}
+        columns.update((f"x{i}", rng.normal(rng.uniform(-3, 3), 2.0, n)) for i in range(5))
+        columns["near"] = 7.0 + 1e-4 * rng.normal(size=n)
+        columns["sum"] = columns["x0"] + columns["x1"] + 1e-3 * rng.normal(size=n)
+        return DataMatrix.from_columns(columns)
+
+    def test_report_then_factors_take_one_qr_of_the_n_row_design(self, monkeypatch):
+        qr, shapes = np.linalg.qr, []
+
+        def counting(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counting)
+        for intercept in (True, False):
+            data = self.tall_data()
+            shapes.clear()
+            spec = ModelSpec("y", ("x0", "x1", "x2", "near", "sum"), intercept=intercept)
+            full_report(data, spec)
+            variance_factors(data, spec)
+            # one QR of [1, X], then the kernel's two of 6-row factors
+            assert shapes == [(data.n, 6), (6, 5), (6, 6)]
+
+    def test_alternating_specs_match_a_fresh_matrix_bit_for_bit(self):
+        data = self.tall_data()
+        specs = [
+            ModelSpec("y", ("x0", "x1", "x2", "near", "sum")),
+            ModelSpec("y", ("x0", "x1", "x2", "near", "sum"), intercept=False),
+            ModelSpec("y", ("x3", "x4", "near")),
+            ModelSpec("y", ("one", "x3", "x4", "near"), intercept=False),
+            ModelSpec("x2", ("near", "x3", "sum")),
+        ]
+        for spec in specs + specs[::-1] + specs:
+            fresh = DataMatrix(data.names, data.values.copy())
+            assert full_report(data, spec) == full_report(fresh, spec)
+            fresh = DataMatrix(data.names, data.values.copy())
+            assert variance_factors(data, spec) == variance_factors(fresh, spec)
+
+    def test_rows_keep_the_column_arithmetic_to_the_bit(self):
+        # the factor's sums follow the floating-point order of the per-column
+        # expressions that the report has always printed
+        data = self.tall_data(n=20_000)
+        names = ("x0", "x1", "x2", "x3", "near", "sum")
+        report = full_report(data, ModelSpec("y", names))
+        for row in report.rows:
+            x = data.column(row.variable)
+            mean = float(x.mean())
+            assert row.mean == mean
+            assert row.coef_variation == float(x.std(ddof=1)) / abs(mean)
+            assert row.vifnc == float(x @ x) / row.rss_aux_noncentered
+            assert row.vif == float(((x - mean) ** 2).sum()) / row.rss_aux_centered
+            assert row.nonessential_term == data.n * mean * mean / row.rss_aux_centered
 
 
 class TestZeroMeanCollapse:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -54,6 +56,20 @@ class TestDataMatrix:
         data = DataMatrix(("a", "b"), values)
         values[0, 0] = 99.0
         assert data.values[0, 0] == 1.0
+
+    def test_from_columns_holds_one_copy(self):
+        rng = np.random.default_rng(2)
+        columns = {name: rng.normal(size=100_000) for name in "abcdefghi"}
+        tracemalloc.start()
+        try:
+            data = DataMatrix.from_columns(columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * data.values.nbytes
+        # and later writes to the source columns do not reach it
+        columns["a"][0] += 1.0
+        assert data.column("a")[0] != columns["a"][0]
 
     def test_constant_column_is_legal(self):
         data = DataMatrix.from_columns({"ones": [1.0, 1.0, 1.0], "x": [1.0, 2.0, 3.0]})
