@@ -14,12 +14,15 @@ A column with weight in the numerical null space gets RSS 0, which every
 ratio turns into ``math.inf`` in that column's row only; ``full_report``
 never raises on a singular design.
 
-``full_report`` and ``variance_factors`` read one factor of the model's
-regressors: R of ``[1, X] = QR``, the kernel on ``R`` (centered) and on
-``R[:, 1:]`` (through the origin, since ``X = Q R[:, 1:]``), and each
-column's mean, ``x'x``, centered TSS and constant flag. A DataMatrix keeps
-the factor of the latest regressor tuple it was asked for, so a report and
-the variance factors of one model factor the n-row design once.
+Every diagnostic reads one factor of a regressor tuple X: R of
+``[1, X] = QR``, the kernel on ``R`` (centered) and on ``R[:, 1:]``
+(through the origin, since ``X = Q R[:, 1:]``), and each column's mean,
+``x'x``, centered TSS and constant flag. ``full_report`` and
+``variance_factors`` factor the model's regressors, ``intercept_trick``
+its own, and ``vif``, ``vifnc`` and ``stewart_decomposition`` the tuple
+``(others..., j)`` with the target last. A DataMatrix keeps the factor of
+the latest tuple it was asked for, so the calls on one tuple factor the
+n-row design once, and a call on another tuple replaces it.
 
 Conventions: ``vifnc(j, regressors)`` regresses j on exactly the named
 regressors and never adds a ones column; passing an explicit all-ones
@@ -124,8 +127,8 @@ class CollinearityReport:
 
 
 def _others(data: DataMatrix, j: str, regressors: Sequence[str] | None) -> tuple[str, ...]:
+    data.column(j)  # surface UnknownColumn for j itself first
     if regressors is None:
-        data.column(j)  # surface UnknownColumn for j itself
         return tuple(n for n in data.names if n != j)
     return tuple(regressors)
 
@@ -144,10 +147,6 @@ def auxiliary_regression(
     return fit(data, spec)
 
 
-def _is_constant(x: np.ndarray) -> bool:
-    return float(x.min()) == float(x.max())
-
-
 def _ratio_or_inf(tss, rss) -> np.ndarray:
     """``tss / rss`` elementwise, or ``inf`` once ``rss <= DEFAULT_PERFECT_TOL * tss``."""
     tss, rss = np.asarray(tss, dtype=float), np.asarray(rss, dtype=float)
@@ -160,24 +159,6 @@ def _term(vif: float, mean: float, n: int, rss: float) -> float:
     if math.isinf(vif):
         return math.inf if mean != 0.0 else 0.0
     return n * mean * mean / rss
-
-
-def _rss_on_others(
-    data: DataMatrix, j: str, regressors: Sequence[str] | None, intercept: bool
-) -> float:
-    """RSS of the auxiliary regression of ``j``: the kernel's last entry on ``[design, x_j]``."""
-    return float(aux_rss(data.matrix(_others(data, j, regressors) + (j,), intercept))[0][-1])
-
-
-def _centered_on_others(
-    data: DataMatrix, j: str, regressors: Sequence[str] | None
-) -> tuple[float, float]:
-    """VIF and :func:`_term` of column ``j`` regressed on ``regressors`` with an intercept."""
-    x = data.column(j)
-    mean = float(x.mean())
-    rss = _rss_on_others(data, j, regressors, intercept=True)
-    value = float(_ratio_or_inf(float(((x - mean) ** 2).sum()), rss))
-    return value, _term(value, mean, data.n, rss)
 
 
 class _Factor:
@@ -222,12 +203,32 @@ class _Factor:
 
 
 def _factor(data: DataMatrix, regressors: tuple[str, ...]) -> _Factor:
-    """The factor of ``regressors`` in ``data``, kept on ``data`` for the latest tuple asked."""
+    """The factor of ``regressors`` in ``data``, kept on ``data`` for the latest tuple asked.
+
+    A per-column call asks for ``(others..., j)``, so it replaces the
+    factor of a report's regressors unless j is their last.
+    """
     factor = data.__dict__.get("_factor")
     if factor is None or factor.regressors != regressors:
         factor = _Factor(data, regressors)
         object.__setattr__(data, "_factor", factor)  # frozen, but its values never change
     return factor
+
+
+def _centered_on_others(
+    data: DataMatrix, j: str, regressors: Sequence[str] | None, undefined: str
+) -> tuple[float, float]:
+    """VIF and :func:`_term` of column ``j`` regressed on ``regressors`` with an intercept.
+
+    Raises :class:`ConstantRegressor`, saying that ``undefined`` is undefined,
+    when column j is exactly constant.
+    """
+    factor = _factor(data, _others(data, j, regressors) + (j,))
+    if factor.constant[-1]:
+        raise ConstantRegressor(f"column {j!r} is constant; {undefined} is undefined")
+    rss = float(factor.centered[0][-1])
+    value = float(_ratio_or_inf(factor.tss_c[-1], rss))
+    return value, _term(value, factor.mean[-1], data.n, rss)
 
 
 def vif(
@@ -244,10 +245,7 @@ def vif(
     ``DEFAULT_PERFECT_TOL``; raises :class:`ConstantRegressor` when
     column j is exactly constant.
     """
-    x = data.column(j)
-    if _is_constant(x):
-        raise ConstantRegressor(f"column {j!r} is constant; centered VIF is undefined")
-    return _centered_on_others(data, j, regressors)[0]
+    return _centered_on_others(data, j, regressors, "centered VIF")[0]
 
 
 def vifnc(
@@ -262,12 +260,10 @@ def vifnc(
     added here; include one in ``regressors`` explicitly to expose
     non-essential collinearity (the intercept trick).
     """
-    x = data.column(j)
-    tss = float(x @ x)
-    if tss == 0.0:
+    factor = _factor(data, _others(data, j, regressors) + (j,))
+    if factor.xtx[-1] == 0.0:
         raise ZeroColumn(f"column {j!r} is identically zero")
-    rss = _rss_on_others(data, j, regressors, intercept=False)
-    return float(_ratio_or_inf(tss, rss))
+    return float(_ratio_or_inf(factor.xtx[-1], factor.noncentered[0][-1]))
 
 
 def stewart_index(
@@ -309,10 +305,7 @@ def stewart_decomposition(
     ``vifnc(data, j, regressors)`` only when the regressors already span
     the constant.
     """
-    x = data.column(j)
-    if _is_constant(x):
-        raise ConstantRegressor(f"column {j!r} is constant; the decomposition is undefined")
-    return _centered_on_others(data, j, regressors)
+    return _centered_on_others(data, j, regressors, "the decomposition")
 
 
 def variance_factors(
@@ -371,12 +364,11 @@ def intercept_trick(
         raise NoConstantColumn("the intercept trick needs an explicit all-ones regressor")
     if len(ones) > 1:
         raise ValueError(f"more than one all-ones regressor: {ones}")
-    design = data.matrix(regressors)
-    tss = np.array([float(x @ x) for x in design.T])
-    for j, total in zip(regressors, tss):
-        if total == 0.0:
+    factor = _factor(data, regressors)
+    for j, xtx in zip(regressors, factor.xtx):
+        if xtx == 0.0:
             raise ZeroColumn(f"column {j!r} is identically zero")
-    values = _ratio_or_inf(tss, aux_rss(design)[0])
+    values = _ratio_or_inf(factor.xtx, factor.noncentered[0])
     return [(j, float(value)) for j, value in zip(regressors, values)]
 
 

@@ -1,4 +1,4 @@
-"""Dense least-squares core: QR solve, the auxiliary-RSS kernel, cross products.
+"""Dense least-squares core: QR solve and the auxiliary-RSS kernel.
 
 All operations are pure functions over validated inputs; nothing here keeps
 state, so concurrent use is safe. The Belsley-style data this package
@@ -6,6 +6,10 @@ targets is near-singular by construction, which is why the solver goes
 through an orthogonal decomposition instead of the normal equations: the
 squared condition number of a Gram matrix would wipe out the digits the
 replication targets depend on.
+
+The solver and the kernel read the numerical rank the same way: from the
+SVD of the triangular factor with unit-length columns, cut at
+:data:`SCALED_RANK_RTOL`, so a column's units never move it.
 """
 
 from __future__ import annotations
@@ -16,12 +20,9 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteInput, TooFewObservations
 
-#: :func:`solve_least_squares`: a singular value of the design below this
-#: fraction of the largest counts as zero (numerical rank test).
-DEFAULT_RANK_RTOL = 1e-10
-
-#: :func:`aux_rss`: the same test on the design with unit-length columns,
-#: which also bounds the rounding in the null-space weights (see there).
+#: A singular value of the design with unit-length columns below this
+#: fraction of the largest counts as zero (numerical rank test); in
+#: :func:`aux_rss` it also bounds the rounding in the null-space weights.
 SCALED_RANK_RTOL = 1e-13
 
 
@@ -34,8 +35,8 @@ class LeastSquaresSolution:
     coefficients : ndarray
         Minimum-norm least-squares solution, one entry per design column.
     rank : int
-        Numerical rank: the number of singular values of the design above
-        ``rank_rtol`` times the largest.
+        Numerical rank: the number of singular values of the design with
+        unit-length columns above :data:`SCALED_RANK_RTOL` times the largest.
     residual_norm : float
         Euclidean norm of ``b - A @ coefficients``.
     rank_deficient : bool
@@ -71,12 +72,18 @@ def as_vector(b, name: str = "vector") -> np.ndarray:
     return arr
 
 
-def _rank(s: np.ndarray, rtol: float) -> np.ndarray:
-    """Count of singular values above ``rtol`` times the largest (descending ``s``)."""
-    return np.count_nonzero(s > rtol * s[..., :1], axis=-1)
+def _scaled_spectrum(r: np.ndarray):
+    """Column norms of ``r``, the SVD ``s, V'`` of ``r`` with unit-length columns, and its rank.
+
+    The rank counts singular values above :data:`SCALED_RANK_RTOL` times
+    the largest. A zero column stays zero instead of being divided by its norm.
+    """
+    norms = np.linalg.norm(r, axis=-2)
+    _, s, vh = np.linalg.svd(r / np.where(norms > 0.0, norms, 1.0)[..., None, :])
+    return norms, s, vh, np.count_nonzero(s > SCALED_RANK_RTOL * s[..., :1], axis=-1)
 
 
-def aux_rss(design, rank_rtol: float = SCALED_RANK_RTOL) -> tuple[np.ndarray, np.ndarray]:
+def aux_rss(design) -> tuple[np.ndarray, np.ndarray]:
     """RSS of every column of ``design`` regressed on all the other columns.
 
     ``design`` is one ``(n, k)`` matrix or an ``(R, n, k)`` stack of them;
@@ -90,8 +97,8 @@ def aux_rss(design, rank_rtol: float = SCALED_RANK_RTOL) -> tuple[np.ndarray, np
        then the SVD ``R D^-1 = U S V'``. The scaling makes the rank test
        and the weights below independent of the columns' units (Belsley,
        Kuh & Welsch 1980, ch. 3).
-    3. The numerical rank r counts singular values above ``rank_rtol``
-       times the largest.
+    3. The numerical rank r counts singular values above
+       :data:`SCALED_RANK_RTOL` times the largest.
     4. ``RSS_j = d_j^2 / g_j`` with ``g_j = sum_{i<=r} V_ji^2 / s_i^2``,
        the diagonal of the pseudo-inverse of the scaled Gram matrix; d_j
        puts it back in the units of column j. A column with weight in the
@@ -102,9 +109,9 @@ def aux_rss(design, rank_rtol: float = SCALED_RANK_RTOL) -> tuple[np.ndarray, np
     Rounding perturbs the factor by about ``eps * s_1``, which turns the
     computed null space towards the kept directions and puts on column j
     a weight of order ``(eps * s_1)^2 * g_j`` (first-order perturbation
-    of the singular vectors). A weight counts
-    as real only above ``(rank_rtol * s_1)^2 * g_j``. A zero column reads 0
-    without being divided by its norm.
+    of the singular vectors). A weight counts as real only above
+    ``(SCALED_RANK_RTOL * s_1)^2 * g_j``. A zero column reads 0 without
+    being divided by its norm.
 
     Both cut-offs rest on the sweep in ``tests/test_aux_rss.py``, which
     holds the kernel to a 50-digit projection:
@@ -136,24 +143,24 @@ def aux_rss(design, rank_rtol: float = SCALED_RANK_RTOL) -> tuple[np.ndarray, np
     if n < k:
         # a zero row leaves A'A, and so every RSS, unchanged and makes R square
         a = np.concatenate([a, np.zeros(a.shape[:-2] + (1, k))], axis=-2)
-    r = np.linalg.qr(a, mode="r")
-    norms = np.linalg.norm(r, axis=-2)
-    _, s, vh = np.linalg.svd(r / np.where(norms > 0.0, norms, 1.0)[..., None, :])
-    rank = _rank(s, rank_rtol)
+    norms, s, vh, rank = _scaled_spectrum(np.linalg.qr(a, mode="r"))
     kept = np.arange(k) < rank[..., None]
     weights = vh * vh
     inverse = np.divide(1.0, s * s, out=np.zeros_like(s), where=kept)
     g = (inverse[..., None] * weights).sum(axis=-2)
     null = (~kept[..., None] * weights).sum(axis=-2)
-    real = null > (rank_rtol * s[..., :1]) ** 2 * g
+    real = null > (SCALED_RANK_RTOL * s[..., :1]) ** 2 * g
     rss = np.divide(norms * norms, g, out=np.zeros_like(g), where=~real)
     return rss, rank
 
 
-def solve_least_squares(
-    A, b, rank_rtol: float = DEFAULT_RANK_RTOL
-) -> LeastSquaresSolution:
+def solve_least_squares(A, b) -> LeastSquaresSolution:
     """Solve ``min ||A x - b||`` by Householder QR with rank detection.
+
+    The numerical rank is the kernel's (see :func:`aux_rss`): singular
+    values of the triangular factor with unit-length columns, cut at
+    :data:`SCALED_RANK_RTOL` times the largest, so rescaling a column does
+    not change it.
 
     Parameters
     ----------
@@ -161,10 +168,6 @@ def solve_least_squares(
         Design matrix, n >= k.
     b : array-like, shape (n,)
         Right-hand side.
-    rank_rtol : float
-        A singular value of ``A`` (read off its triangular factor) below
-        ``rank_rtol`` times the largest counts as zero. The columns are not
-        rescaled first, so the test depends on their units.
 
     Returns
     -------
@@ -191,7 +194,7 @@ def solve_least_squares(
         raise TooFewObservations(f"{n} observations for {k} design columns")
 
     Q, R = np.linalg.qr(A, mode="reduced")
-    rank = int(_rank(np.linalg.svd(R, compute_uv=False), rank_rtol))
+    rank = int(_scaled_spectrum(R)[3])
     if rank == k:
         coef = np.linalg.solve(R, Q.T @ b)
     else:

@@ -5,7 +5,7 @@ import inspect
 import pytest
 
 import vifnc
-from vifnc import cli, datasets, diagnostics, montecarlo, ols, replication, report
+from vifnc import cli, datasets, diagnostics, linalg, montecarlo, ols, replication, report
 
 PUBLIC_NAMES = [
     "AuxiliaryMode",
@@ -48,7 +48,8 @@ PUBLIC_NAMES = [
     "vifnc",
 ]
 
-#: Tolerances and switches that are module constants above the linalg kernel.
+#: Tolerances and switches that are module constants in every module, the
+#: linalg kernel included: no public function takes one as a parameter.
 KNOBS = {"perfect_tol", "rank_rtol", "full_sweep"}
 
 
@@ -69,7 +70,9 @@ def _public_functions(module):
                     yield f"{module.__name__}.{name}.{attr}", method
 
 
-@pytest.mark.parametrize("module", [cli, datasets, diagnostics, montecarlo, ols, replication, report])
+@pytest.mark.parametrize(
+    "module", [cli, datasets, diagnostics, linalg, montecarlo, ols, replication, report]
+)
 def test_no_tolerance_knob_outside_linalg(module):
     functions = dict(_public_functions(module))
     assert functions

@@ -490,8 +490,8 @@ CLI_GOLDENS = [
     ("aux-centered", "json", "15a98d9e175334968c679a2a150c6216e4456a4dddbea7fe3ac94d0d48b60a9b"),
     ("aux-centered", "csv", "6c8af126f15745c03da265a13b7952f9cfd4eeb84be7aca98f10f93348bf9254"),
     ("replicate", "text", "19f2226c0d7fb36c5ad1145056a0de2943859493e766d14ff150521b010f9e4a"),
-    ("replicate", "json", "c9cceca3627d0afe858d6e43ee574f64d2b9c3a9b2a5e4f90cccf3779d8e1547"),
-    ("replicate", "csv", "f0e3f1854cc4dde25f3cdd6ce7c10d36e0dd82dadf778eda99bad109713ede20"),
+    ("replicate", "json", "2f67ff74f3ee1863e66e943ee25f7de87184c6b1af34ba021935ced68f3eda50"),
+    ("replicate", "csv", "314c42d5996fec597165dcc4645ebe39d659d99c38d7ea592d0d9bc6e509a92c"),
 ]
 
 

@@ -31,11 +31,13 @@ from vifnc import (
     ModelSpec,
     auxiliary_regression,
     full_report,
+    intercept_trick,
+    stewart_decomposition,
     variance_factors,
     vif,
     vifnc,
 )
-from vifnc.diagnostics import DEFAULT_PERFECT_TOL
+from vifnc.diagnostics import DEFAULT_PERFECT_TOL, _ratio_or_inf, _term
 from vifnc.linalg import aux_rss
 
 from oracles import project_residual_rss
@@ -60,14 +62,14 @@ def sweep_data(seed, n, k, noise, kind):
     return DataMatrix.from_columns(columns), names
 
 
-def assert_ratio(value, tss, rss):
-    """``value`` from the factor against ``tss / rss`` from a refit, sentinel included."""
+def assert_ratio(value, tss, rss, rtol=RTOL):
+    """``value`` from the factor against ``tss / rss`` from another route, sentinel included."""
     threshold = DEFAULT_PERFECT_TOL * tss
     if math.isinf(value) != (rss <= threshold):
         # the two routes may only straddle the sentinel right at its threshold
-        assert abs(rss - threshold) <= RTOL * threshold
+        assert abs(rss - threshold) <= rtol * threshold
     elif not math.isinf(value):
-        assert value == pytest.approx(tss / rss, rel=RTOL)
+        assert value == pytest.approx(tss / rss, rel=rtol)
 
 
 @settings(max_examples=60, deadline=None)
@@ -93,6 +95,12 @@ def test_closed_forms_match_per_column_fits(seed, n, k, noise_exponent, kind, in
         aux_c = auxiliary_regression(data, j, others, AuxiliaryMode.CENTERED)
         assert_ratio(vifnc(data, j, others), tss, aux_nc.rss)
         assert_ratio(vif(data, j, others), aux_c.tss_centered, aux_c.rss)
+        # the per-column route that the factor replaced: the kernel on [1, others..., j]
+        rss_c = float(aux_rss(data.matrix(tuple(others) + (j,), intercept=True))[0][-1])
+        mean = float(x.mean())
+        vif_c = float(_ratio_or_inf(float(((x - mean) ** 2).sum()), rss_c))
+        assert vif(data, j, others) == vif_c
+        assert stewart_decomposition(data, j, others) == (vif_c, _term(vif_c, mean, n, rss_c))
 
         rss_model = aux_c.rss if intercept else aux_nc.rss
         factor = factors[i + 1 if intercept else i]
@@ -138,20 +146,34 @@ def test_closed_form_rss_matches_gram_schmidt_oracle(kind, noise_exponent):
     kind=st.sampled_from(KINDS),
 )
 def test_through_origin_variance_factors_match_the_kernel_on_x(seed, n, k, noise_exponent, kind):
-    """``variance_factors`` reads R[:, 1:] of the report's factor of [1, X], not X itself.
+    """Through-origin values read R[:, 1:] of a factor of [1, X], not X itself.
 
-    Both are backward-stable factors of X, so they agree to a few eps times
-    the condition of X with unit-length columns: 3,000 designs of this
-    sweep gave at most 22 eps * cond (zero-mean columns) and 1.6 eps * cond
-    on planted relations. The gap is within 1e-10 up to cond 4.5e3; above
-    that (planted relations at noise 1e-3 and below, cond up to 8e7) the
-    bound 100 eps * cond takes over.
+    ``variance_factors`` reads the report's factor, ``vifnc`` that of
+    ``[1, others..., j]`` and ``intercept_trick`` that of ``[1, 1, X]``.
+    Each is a backward-stable factor of X, so it agrees with the kernel on
+    X to a few eps times the condition of X with unit-length columns:
+    6,000 designs of this sweep gave at most 49 eps * cond on zero-mean
+    columns (cond below 10) and 4.3 eps * cond on planted relations, and
+    every value that read ``inf`` read below the sentinel on X as well.
+    The gap is within 1e-10 up to cond 4.5e3; above that (planted
+    relations at noise 1e-3 and below, cond up to 6e7) the bound
+    100 eps * cond takes over.
     """
     data, names = sweep_data(seed, n, k, 10.0 ** -noise_exponent, kind)
+
+    def kernel_on(regressors):
+        X = data.matrix(regressors)
+        cond = np.linalg.cond(X / np.linalg.norm(X, axis=0))
+        return X, aux_rss(X)[0], max(1e-10, 100.0 * np.finfo(float).eps * cond)
+
+    X, rss, rtol = kernel_on(names)
     factors = variance_factors(data, ModelSpec("y", names, intercept=False))
-    X = data.matrix(names)
-    rss, _ = aux_rss(X)
-    cond = np.linalg.cond(X / np.linalg.norm(X, axis=0))
-    rtol = max(1e-10, 100.0 * np.finfo(float).eps * cond)
     for factor, expected in zip(factors, 1.0 / rss):
         assert factor.var_over_sigma2 == pytest.approx(expected, rel=rtol)
+    for j, x, expected in zip(names, X.T, rss):
+        assert_ratio(vifnc(data, j, [o for o in names if o != j]), float(x @ x), expected, rtol)
+
+    trick = ("one",) + names
+    X, rss, rtol = kernel_on(trick)
+    for (_, value), x, expected in zip(intercept_trick(data, trick), X.T, rss):
+        assert_ratio(value, float(x @ x), expected, rtol)

@@ -424,7 +424,7 @@ class TestFullReport:
 
 
 class TestSharedFactor:
-    """``full_report`` and ``variance_factors`` read one factor of [1, X] per design."""
+    """Every diagnostic reads one factor of [1, X] per design."""
 
     @staticmethod
     def tall_data(seed=5, n=2_000):
@@ -435,7 +435,9 @@ class TestSharedFactor:
         columns["sum"] = columns["x0"] + columns["x1"] + 1e-3 * rng.normal(size=n)
         return DataMatrix.from_columns(columns)
 
-    def test_report_then_factors_take_one_qr_of_the_n_row_design(self, monkeypatch):
+    @staticmethod
+    def qr_shapes(monkeypatch):
+        """The shapes that ``np.linalg.qr`` is called on from now on."""
         qr, shapes = np.linalg.qr, []
 
         def counting(a, *args, **kwargs):
@@ -443,6 +445,10 @@ class TestSharedFactor:
             return qr(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "qr", counting)
+        return shapes
+
+    def test_report_then_factors_take_one_qr_of_the_n_row_design(self, monkeypatch):
+        shapes = self.qr_shapes(monkeypatch)
         for intercept in (True, False):
             data = self.tall_data()
             shapes.clear()
@@ -452,6 +458,19 @@ class TestSharedFactor:
             # one QR of [1, X], then the kernel's two of 6-row factors
             assert shapes == [(data.n, 6), (6, 5), (6, 6)]
 
+    def test_per_column_calls_on_the_last_regressor_read_the_report_factor(self, monkeypatch):
+        names = ("x0", "x1", "x2", "near", "sum")
+        for intercept in (True, False):
+            data = self.tall_data()
+            row = full_report(data, ModelSpec("y", names, intercept=intercept)).rows[-1]
+            shapes = self.qr_shapes(monkeypatch)
+            assert vif(data, "sum", names[:-1]) == row.vif
+            assert vifnc(data, "sum", names[:-1]) == row.vifnc
+            parts = stewart_decomposition(data, "sum", names[:-1])
+            assert parts == (row.vif, row.nonessential_term)
+            assert all(shape[0] < data.n for shape in shapes), shapes
+            monkeypatch.undo()
+
     def test_alternating_specs_match_a_fresh_matrix_bit_for_bit(self):
         data = self.tall_data()
         specs = [
@@ -459,10 +478,15 @@ class TestSharedFactor:
             ModelSpec("y", ("x0", "x1", "x2", "near", "sum"), intercept=False),
             ModelSpec("y", ("x3", "x4", "near")),
             ModelSpec("y", ("one", "x3", "x4", "near"), intercept=False),
+            # a per-column call keeps the factor of (others..., j), here the next spec's
+            ("sum", ("near", "x3")),
             ModelSpec("x2", ("near", "x3", "sum")),
         ]
         for spec in specs + specs[::-1] + specs:
             fresh = DataMatrix(data.names, data.values.copy())
+            if not isinstance(spec, ModelSpec):
+                assert vifnc(data, *spec) == vifnc(fresh, *spec)
+                continue
             assert full_report(data, spec) == full_report(fresh, spec)
             fresh = DataMatrix(data.names, data.values.copy())
             assert variance_factors(data, spec) == variance_factors(fresh, spec)

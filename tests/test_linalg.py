@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vifnc import solve_least_squares
+from vifnc import DataMatrix, ModelSpec, fit, solve_least_squares
 from vifnc.errors import DimensionMismatch, NonFiniteInput, TooFewObservations
 
 from oracles import normal_equations_solve
@@ -64,10 +64,18 @@ def test_rank_deficiency_flagged_not_fatal():
     assert sol.residual_norm == pytest.approx(reduced.residual_norm, rel=1e-10)
 
 
-def test_rank_tolerance_is_configurable():
-    A = np.diag([1.0, 1e-8])
-    assert solve_least_squares(A, [1.0, 1.0]).rank == 2
-    assert solve_least_squares(A, [1.0, 1.0], rank_rtol=1e-6).rank == 1
+def test_rank_does_not_depend_on_the_units_of_a_column():
+    # one cut on unit-length columns, the kernel's: a well-conditioned design
+    # stays full rank however small one column's units are
+    rng = np.random.default_rng(8)
+    a, b, y = rng.normal(size=(3, 30))
+    A = np.column_stack([a, 1e-12 * b])
+    sol = solve_least_squares(A, y)
+    assert (sol.rank, sol.rank_deficient) == (2, False)
+    data = DataMatrix.from_columns({"y": y, "a": a, "b": 1e-12 * b})
+    result = fit(data, ModelSpec("y", ("a", "b"), intercept=False))
+    assert (result.rank, result.rank_deficient) == (2, False)
+    assert solve_least_squares(np.diag([1.0, 1e-8]), [1.0, 1.0]).rank == 2
 
 
 def test_rank_catches_relation_at_rounding_level():
