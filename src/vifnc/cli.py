@@ -17,7 +17,7 @@ from .datasets import load_csv
 from .diagnostics import AuxiliaryMode, Thresholds, auxiliary_regression, full_report
 from .errors import VifncError
 from .montecarlo import load_scenario_config, run_scenario
-from .ols import ModelSpec
+from .ols import DataMatrix, ModelSpec
 from .replication import replication_table
 from .report import (
     OutputFormat,
@@ -48,6 +48,12 @@ def cmd_diagnose(args) -> int:
                 name for name in regressors if not bool((data.column(name) == 1.0).all())
             )
     spec = ModelSpec(dependent=dependent, regressors=regressors, intercept=args.intercept)
+    # the report factors every column of the matrix it reads, so it reads the model's
+    # design, dependent last; a name the file lacks leaves the matrix whole, for the
+    # report to name it
+    names = spec.regressors + (spec.dependent,)
+    if set(names) <= set(data.names) and names != data.names:
+        data = DataMatrix.from_columns({name: data.column(name) for name in names})
     thresholds = Thresholds(vif=args.vif_threshold, vifnc=args.vifnc_threshold)
     report = full_report(data, spec, thresholds)
     sys.stdout.write(render_report(report, spec, dataset=str(args.csv), fmt=args.format))

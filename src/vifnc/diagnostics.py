@@ -14,15 +14,18 @@ A column with weight in the numerical null space gets RSS 0, which every
 ratio turns into ``math.inf`` in that column's row only; ``full_report``
 never raises on a singular design.
 
-Every diagnostic reads one factor of a regressor tuple X: R of
-``[1, X] = QR``, the kernel on ``R`` (centered) and on ``R[:, 1:]``
-(through the origin, since ``X = Q R[:, 1:]``), and each column's mean,
-``x'x``, centered TSS and constant flag. ``full_report`` and
-``variance_factors`` factor the model's regressors, ``intercept_trick``
-its own, and ``vif``, ``vifnc`` and ``stewart_decomposition`` the tuple
-``(others..., j)`` with the target last. A DataMatrix keeps the factor of
-the latest tuple it was asked for, so the calls on one tuple factor the
-n-row design once, and a call on another tuple replaces it.
+Every diagnostic reads one factor of its DataMatrix: R of ``[1, D] = QR``
+with D every column of the matrix, and each column's mean, ``x'x``,
+centered TSS and constant flag. A column set S is read at its positions in
+D, in D's order: the kernel on ``R[:, [0] + S]`` gives the centered RSS and
+on ``R[:, S]`` the through-origin ones, since ``R[:, S]'R[:, S] = D_S'D_S``.
+So ``full_report``, ``variance_factors``, ``intercept_trick``, ``vif``,
+``vifnc`` and ``stewart_decomposition`` share one factor per matrix, and a
+value depends on the data and the column set alone: a per-column call
+equals the report row of a model on the same columns, bit for bit. The
+factor costs n*K^2 for K columns, so a caller pays for every column of
+the matrix it passes. ``stewart_index`` (the Gram system) and
+``auxiliary_regression`` (a refit) keep routes of their own.
 
 Conventions: ``vifnc(j, regressors)`` regresses j on exactly the named
 regressors and never adds a ones column; passing an explicit all-ones
@@ -38,7 +41,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -50,6 +52,8 @@ from .ols import INTERCEPT_NAME, DataMatrix, FitResult, ModelSpec, fit
 #: Auxiliary R-squared at or above 1 - DEFAULT_PERFECT_TOL, that is an RSS
 #: of at most this fraction of its total sum of squares, reads ``math.inf``.
 DEFAULT_PERFECT_TOL = 1e-12
+#: Bytes of ``[1, D]`` that the factor of a DataMatrix takes at a time (see ``_Factor``).
+_FACTOR_BYTES = 1 << 20
 
 
 class AuxiliaryMode(enum.Enum):
@@ -162,57 +166,80 @@ def _term(vif: float, mean: float, n: int, rss: float) -> float:
 
 
 class _Factor:
-    """One Householder factor of ``[1, X]`` and the column sums a report reads.
+    """One Householder factor of ``[1, D]``, D every column of a DataMatrix, and its column sums.
 
-    ``X`` holds ``regressors`` in order and ``r`` is R of ``[1, X] = QR``.
-    Per regressor: ``mean``, ``xtx`` (``x'x``), ``tss_c`` (the centered
-    TSS) and ``constant`` (every entry equal), each in the floating-point
-    order of ``x.mean()``, ``x @ x`` and ``((x - mean) ** 2).sum()`` on the
-    column, so the values do not depend on the route that read them. The
-    kernel runs on first use, so a report names a zero column before the
-    kernel can object to the design's shape.
+    ``r`` is R of ``[1, D] = QR``, taken in blocks of rows of about
+    :data:`_FACTOR_BYTES`: R of the rows so far, stacked on the next
+    block, is factored again, which is as backward stable as one pass,
+    keeps the block in cache and never copies the whole matrix.
+
+    Per column of D, in the matrix's order: ``mean``, ``xtx`` (``x'x``),
+    ``tss_c`` (the centered TSS) and ``constant`` (every entry equal), each
+    in the floating-point order of ``x.mean()``, ``x @ x`` and
+    ``((x - mean) ** 2).sum()`` on the column, so the values do not depend
+    on the route that read them.
+
+    A column set is read at its positions in D, in D's order, so a value
+    depends on the data and the set alone. Since ``R[:, S]'R[:, S]`` is
+    ``D_S'D_S``, the kernel on ``R[:, [0] + S]`` gives the centered RSS
+    and on ``R[:, S]`` the through-origin ones, from (K+1)-row matrices.
+    Each read runs the kernel on first use only, so a report names a zero
+    column before the kernel can object to the design's shape.
     """
 
-    def __init__(self, data: DataMatrix, regressors: tuple[str, ...]):
-        self.regressors = regressors
-        columns = [data.column(j) for j in regressors]
+    def __init__(self, data: DataMatrix):
         # on the strided view: BLAS sums a contiguous copy in another order
-        self.xtx = [float(x @ x) for x in columns]
-        design = np.empty((data.n, len(columns) + 1), order="F")
-        design[:, 0] = 1.0
-        for i, x in enumerate(columns, start=1):
-            design[:, i] = x
-        self.r = np.linalg.qr(design, mode="r")
-        # the QR worked on a copy, so each contiguous column is now scratch
+        self.xtx = [float(x @ x) for x in data.values.T]
+        # allocated first: a buffer taken after the QR's temporaries sits above
+        # them on the heap and keeps it from shrinking once they are freed
+        x = np.empty(data.n)  # contiguous, as the sums' floating-point order needs
+        self.r = np.empty((0, len(data.names) + 1))
+        block = max(1, _FACTOR_BYTES // (8 * self.r.shape[1]))
+        for start in range(0, data.n, block):
+            rows = data.values[start : start + block]
+            design = np.empty((len(self.r) + len(rows), self.r.shape[1]), order="F")
+            design[: len(self.r)] = self.r
+            design[len(self.r) :, 0] = 1.0
+            design[len(self.r) :, 1:] = rows
+            self.r = np.linalg.qr(design, mode="r")
         self.mean, self.tss_c, self.constant = [], [], []
-        for x in design.T[1:]:
+        for column in data.values.T:
+            x[:] = column
             self.constant.append(bool(x.min() == x.max()))
             self.mean.append(float(x.mean()))
             x -= self.mean[-1]
             self.tss_c.append(float(np.multiply(x, x, out=x).sum()))
+        self._rss = {}
 
-    @cached_property
-    def centered(self) -> tuple[np.ndarray, np.ndarray]:
-        """``aux_rss`` of ``[1, X]``: the ones column's RSS first, then each regressor's."""
-        return aux_rss(self.r)
+    def rss(self, positions: Sequence[int], centered: bool) -> tuple[np.ndarray, int]:
+        """``aux_rss`` of the columns at ``positions``, in their given order, and the rank.
 
-    @cached_property
-    def noncentered(self) -> tuple[np.ndarray, np.ndarray]:
-        """``aux_rss`` of ``X``, through the origin."""
-        return aux_rss(self.r[:, 1:])
+        ``centered`` puts the ones column first, and its RSS first in the result.
+        """
+        lead, canonical = int(centered), tuple(sorted(positions))
+        if (lead, canonical) not in self._rss:
+            columns = [0] * lead + [p + 1 for p in canonical]
+            self._rss[lead, canonical] = aux_rss(self.r[:, columns])
+        rss, rank = self._rss[lead, canonical]
+        out = rss.copy()
+        out[lead + np.argsort(positions, kind="stable")] = rss[lead:]
+        return out, int(rank)
 
 
-def _factor(data: DataMatrix, regressors: tuple[str, ...]) -> _Factor:
-    """The factor of ``regressors`` in ``data``, kept on ``data`` for the latest tuple asked.
-
-    A per-column call asks for ``(others..., j)``, so it replaces the
-    factor of a report's regressors unless j is their last.
-    """
+def _factor(data: DataMatrix) -> _Factor:
+    """The factor of every column of ``data``, built once and kept on ``data``."""
     factor = data.__dict__.get("_factor")
-    if factor is None or factor.regressors != regressors:
-        factor = _Factor(data, regressors)
+    if factor is None:
+        factor = _Factor(data)
         object.__setattr__(data, "_factor", factor)  # frozen, but its values never change
     return factor
+
+
+def _positions(data: DataMatrix, names: Sequence[str]) -> list[int]:
+    """Each name's column position in ``data``; :class:`UnknownColumn` for the first it lacks."""
+    for name in names:
+        data.column(name)
+    return [data.names.index(name) for name in names]
 
 
 def _centered_on_others(
@@ -223,12 +250,13 @@ def _centered_on_others(
     Raises :class:`ConstantRegressor`, saying that ``undefined`` is undefined,
     when column j is exactly constant.
     """
-    factor = _factor(data, _others(data, j, regressors) + (j,))
-    if factor.constant[-1]:
+    positions = _positions(data, _others(data, j, regressors) + (j,))
+    factor, i = _factor(data), positions[-1]
+    if factor.constant[i]:
         raise ConstantRegressor(f"column {j!r} is constant; {undefined} is undefined")
-    rss = float(factor.centered[0][-1])
-    value = float(_ratio_or_inf(factor.tss_c[-1], rss))
-    return value, _term(value, factor.mean[-1], data.n, rss)
+    rss = float(factor.rss(positions, centered=True)[0][-1])
+    value = float(_ratio_or_inf(factor.tss_c[i], rss))
+    return value, _term(value, factor.mean[i], data.n, rss)
 
 
 def vif(
@@ -260,10 +288,11 @@ def vifnc(
     added here; include one in ``regressors`` explicitly to expose
     non-essential collinearity (the intercept trick).
     """
-    factor = _factor(data, _others(data, j, regressors) + (j,))
-    if factor.xtx[-1] == 0.0:
+    positions = _positions(data, _others(data, j, regressors) + (j,))
+    factor, i = _factor(data), positions[-1]
+    if factor.xtx[i] == 0.0:
         raise ZeroColumn(f"column {j!r} is identically zero")
-    return float(_ratio_or_inf(factor.xtx[-1], factor.noncentered[0][-1]))
+    return float(_ratio_or_inf(factor.xtx[i], factor.rss(positions, centered=False)[0][-1]))
 
 
 def stewart_index(
@@ -276,7 +305,14 @@ def stewart_index(
     ``x'x / (x'x - x'Z (Z'Z)^-1 Z'x)`` with Z the remaining columns: a
     numerically independent route to the same quantity as :func:`vifnc`,
     which goes through the spectral kernel instead of the Gram system.
-    Raises :class:`RankDeficient` when ``Z'Z`` is singular.
+    ``Z'Z`` is scaled to unit diagonal before its rank is tested and the
+    system solved, so a column's units do not decide either. Raises
+    :class:`RankDeficient` when the scaled ``Z'Z`` is numerically singular.
+
+    The Gram system squares the condition number, so digits go as VIFnc
+    grows: against a 50-digit reference the relative error is about
+    3e-15 times VIFnc (2e-11 at VIFnc 1.3e4, 3.5e-5 at 1.2e10), where
+    :func:`vifnc` stays within 3e-11 up to VIFnc 2e10.
     """
     others = data.matrix(_others(data, j, regressors))
     x = data.column(j)
@@ -284,7 +320,10 @@ def stewart_index(
     if tss == 0.0:
         raise ZeroColumn(f"column {j!r} is identically zero")
     gram = others.T @ others
-    q = others.T @ x
+    d = np.sqrt(np.diag(gram))
+    d[d == 0.0] = 1.0  # a zero column keeps its zero row, and so the singular verdict
+    gram /= np.outer(d, d)
+    q = (others.T @ x) / d
     if np.linalg.matrix_rank(gram, hermitian=True) < gram.shape[0]:
         raise RankDeficient("cross-product matrix of the remaining columns is singular")
     return float(_ratio_or_inf(tss, tss - float(q @ np.linalg.solve(gram, q))))
@@ -327,13 +366,16 @@ def variance_factors(
     below :data:`vifnc.linalg.SCALED_RANK_RTOL` times the largest counts
     as zero, whatever the columns' units.
     """
-    factor = _factor(data, spec.regressors)
-    rss, rank = factor.centered if spec.intercept else factor.noncentered
+    positions = _positions(data, spec.regressors)
+    factor = _factor(data)
+    rss, rank = factor.rss(positions, spec.intercept)
     if rank < rss.shape[0]:
         raise RankDeficient("model design is numerically rank deficient")
     # the ones column: x'x = n, and it is the intercept
     lead = [(INTERCEPT_NAME, float(data.n), True)] if spec.intercept else []
-    columns = lead + list(zip(spec.regressors, factor.xtx, factor.constant))
+    columns = lead + [
+        (j, factor.xtx[i], factor.constant[i]) for j, i in zip(spec.regressors, positions)
+    ]
     return [
         VarianceFactor(
             variable=name,
@@ -364,11 +406,13 @@ def intercept_trick(
         raise NoConstantColumn("the intercept trick needs an explicit all-ones regressor")
     if len(ones) > 1:
         raise ValueError(f"more than one all-ones regressor: {ones}")
-    factor = _factor(data, regressors)
-    for j, xtx in zip(regressors, factor.xtx):
-        if xtx == 0.0:
+    positions = _positions(data, regressors)
+    factor = _factor(data)
+    xtx = [factor.xtx[i] for i in positions]
+    for j, xtx_j in zip(regressors, xtx):
+        if xtx_j == 0.0:
             raise ZeroColumn(f"column {j!r} is identically zero")
-    values = _ratio_or_inf(factor.xtx, factor.noncentered[0])
+    values = _ratio_or_inf(xtx, factor.rss(positions, centered=False)[0])
     return [(j, float(value)) for j, value in zip(regressors, values)]
 
 
@@ -387,8 +431,9 @@ def full_report(
     ``nonessential_suspect`` when vifnc >= thresholds.vifnc while vif
     stayed below its threshold (or was undefined).
 
-    Every row comes from the model's one factor (see the module
-    docstring), which ``variance_factors`` then reuses. A singular design
+    Every row comes from the matrix's one factor (see the module
+    docstring), which ``variance_factors`` and the per-column functions
+    read as well. A singular design
     gives ``inf`` rows, never an exception: a column with weight in the
     numerical null space reads ``inf``, and the others keep their values.
 
@@ -399,25 +444,28 @@ def full_report(
     if len(spec.regressors) < 2:
         raise ValueError("a collinearity report needs at least two regressors")
     data.column(spec.dependent)
-    factor = _factor(data, spec.regressors)
-    for j, xtx in zip(spec.regressors, factor.xtx):
-        if xtx == 0.0:
+    positions = _positions(data, spec.regressors)
+    factor = _factor(data)
+    xtx = [factor.xtx[i] for i in positions]
+    tss_c = [factor.tss_c[i] for i in positions]
+    for j, xtx_j in zip(spec.regressors, xtx):
+        if xtx_j == 0.0:
             raise ZeroColumn(f"column {j!r} is identically zero")
-    rss_nc = factor.noncentered[0]
-    rss_c = factor.centered[0][1:]
-    values_nc = _ratio_or_inf(factor.xtx, rss_nc)
-    values_c = _ratio_or_inf(factor.tss_c, rss_c)
-    stewart = _ratio_or_inf(factor.xtx, rss_c if spec.intercept else rss_nc)
+    rss_nc = factor.rss(positions, centered=False)[0]
+    rss_c = factor.rss(positions, centered=True)[0][1:]
+    values_nc = _ratio_or_inf(xtx, rss_nc)
+    values_c = _ratio_or_inf(tss_c, rss_c)
+    stewart = _ratio_or_inf(xtx, rss_c if spec.intercept else rss_nc)
 
     rows = []
-    for i, j in enumerate(spec.regressors):
-        mean = factor.mean[i]
+    for i, (j, position) in enumerate(zip(spec.regressors, positions)):
+        mean = factor.mean[position]
         # sd = sqrt(tss_c / (n - 1)) is x.std(ddof=1) to the bit
-        cv = math.inf if mean == 0.0 else math.sqrt(factor.tss_c[i] / (data.n - 1)) / abs(mean)
+        cv = math.inf if mean == 0.0 else math.sqrt(tss_c[i] / (data.n - 1)) / abs(mean)
         value_nc = float(values_nc[i])
 
         value_vif = centered = term = None
-        if not factor.constant[i]:
+        if not factor.constant[position]:
             centered = float(rss_c[i])
             value_vif = float(values_c[i])
             term = _term(value_vif, mean, data.n, centered)

@@ -38,8 +38,8 @@ class DataMatrix:
     intercept trick depends on passing an explicit all-ones regressor.
     A read-only C-ordered float64 array is kept as it is; any other
     ``values`` is copied, so later writes to the caller's array do not
-    reach the matrix. :mod:`vifnc.diagnostics` keeps on the instance the
-    factor of the latest regressor tuple it was asked for.
+    reach the matrix. :mod:`vifnc.diagnostics` keeps on the instance one
+    factor of all its columns, which every diagnostic on it reads.
     """
 
     names: tuple[str, ...]

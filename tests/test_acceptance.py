@@ -27,7 +27,7 @@ from oracles import normal_equations_solve
 
 REL_TIGHT = 1e-3  # 0.1 %
 REL_LOOSE = 5e-3  # 0.5 %, for the 1e5-scale near-singular targets
-IDENTITY_RTOL = 1e-8
+IDENTITY_RTOL = 1e-8  # stewart_index is good to about 3e-15 * VIFnc, so up to VIFnc 3e6
 DECOMP_RTOL = 1e-10
 
 

@@ -73,7 +73,7 @@ def _public_functions(module):
 @pytest.mark.parametrize(
     "module", [cli, datasets, diagnostics, linalg, montecarlo, ols, replication, report]
 )
-def test_no_tolerance_knob_outside_linalg(module):
+def test_no_tolerance_knob(module):
     functions = dict(_public_functions(module))
     assert functions
     for name, function in functions.items():

@@ -21,10 +21,14 @@ The sweep draws n from 8 to 30 and k from 3 to 6, scales each column by
   finite; a fixed null-weight cut of 1e-26 would turn it to 0 from
   condition 1e4 up.
 
-Routes. Every design is checked twice, against the same reference and
-bounds: on the direct route ``aux_rss(X)``, and on the factor route
-``aux_rss(R[:, 1:])`` with R the triangular factor of ``[1, X]``, which is
-how every VIF, VIFnc and report row reads the kernel (``X = Q R[:, 1:]``).
+Routes. Every design is checked three times, against the same reference
+and bounds: on the direct route ``aux_rss(X)``; on the factor route
+``aux_rss(R[:, 1:])`` with R the triangular factor of ``[1, X]``
+(``X = Q R[:, 1:]``); and on the subset route, which is how every VIF,
+VIFnc and report row reads the kernel: X sits among three extra columns
+of mixed scale, in shuffled order, in a DataMatrix D, and its RSS come
+from ``aux_rss(R[:, S])`` with R the factor of ``[1, D]`` and S the
+positions of X's columns in D.
 
 Tolerance. A backward-stable route gets an RSS to about eps times the
 condition of the kept part of the spectrum. Over 340 designs from these
@@ -32,7 +36,9 @@ generators, the 63 of this file among them, the worst error on the direct
 and the factor route was 1.6 and 2.3 eps * cond where every relation was
 kept, 2.0 and 2.5 eps * cond beside an exact relation, and 4.4 and 4.8
 eps * cond where a near relation at 1e14 was cut. An earlier 350-design
-run of the direct route reached 2.1, 7.4 and 11.5 eps * cond.
+run of the direct route reached 2.1, 7.4 and 11.5 eps * cond. On the
+subset route, 315 designs of these generators (the 63 among them) gave
+at most 6.3, 12.0 and 9.0 eps * cond in the same three classes.
 TOL_FACTOR = 100 leaves an 8x margin over the worst of these; a defect
 such as a missing rescale or a wrong null-weight rule moves an RSS by
 orders of magnitude or to 0.
@@ -44,12 +50,16 @@ null-weight rule ``w_j > (1e-13 s_1)^2 g_j``, a factor (1e-13/eps)^2 =
 most 169 (eps s_1)^2 g_j of null weight (15 beside an exact relation),
 and columns inside one at least 1.5e13 (eps s_1)^2 g_j. On the factor
 route, 160 designs with a cut relation gave at most 92 and at least
-1.1e13.
+1.1e13; on the subset route, 125 gave at most 72 and at least 3.0e13.
 """
+
+import zlib
 
 import numpy as np
 import pytest
 
+from vifnc import DataMatrix
+from vifnc.diagnostics import _factor
 from vifnc.errors import TooFewObservations
 from vifnc.linalg import SCALED_RANK_RTOL, aux_rss
 
@@ -146,7 +156,22 @@ def factor_route(X):
     return aux_rss(np.linalg.qr(np.column_stack([np.ones(len(X)), X]), mode="r")[:, 1:])
 
 
-ROUTES = {"direct": aux_rss, "factor": factor_route}
+def subset_route(X):
+    """X's RSS read off the factor of a DataMatrix that holds X among other columns.
+
+    Three extra columns of mixed scale join X in a shuffled order; the
+    diagnostics' factor of ``[1, D]`` then reads ``aux_rss(R[:, S])`` at
+    X's positions S, which is how every diagnostic reads a column set.
+    """
+    n, k = X.shape
+    rng = np.random.default_rng(zlib.crc32(X.tobytes()))
+    extra = rng.normal(rng.uniform(-3, 3, 3), 1.0, (n, 3)) * 10.0 ** rng.uniform(-6, 6, 3)
+    order = rng.permutation(k + 3)
+    data = DataMatrix(tuple(f"d{i}" for i in range(k + 3)), np.column_stack([X, extra])[:, order])
+    return _factor(data).rss(np.argsort(order)[:k].tolist(), centered=False)
+
+
+ROUTES = {"direct": aux_rss, "factor": factor_route, "subset": subset_route}
 
 
 def check_against_reference(X, columns, zero):

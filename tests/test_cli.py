@@ -469,17 +469,17 @@ CLI_CASES = {
 }
 CLI_GOLDENS = [
     ("belsley", "text", "f4860e6ac3f5ed5a05f4ff71236ad3573d509f881ae662fadbaef35563092097"),
-    ("belsley", "json", "e0c3a51c1d3655a02fdeb2e2baf4bdff73fe273069ac06731812940741b312b1"),
-    ("belsley", "csv", "9a163729ca806179be70c096720977c752097e3b5b6fee0f9779680f50d1b36e"),
+    ("belsley", "json", "fa13b8061b2d1e524b04f3f251130268bb1d5e1c79cfdfc5b95810448bfdb578"),
+    ("belsley", "csv", "6aab10bb81c386b5358a249233233c9bca5d1f17e0d1aa8fde4ef7bc3aa06cad"),
     ("belsley-no-intercept", "text", "7df4bc17ed8f15dad5b133c5e058618c4e2415811c77d0ae96acf8445e3f4a76"),
     ("belsley-no-intercept", "json", "33ec0730a5ac4f2705cd5fe1a6a1037584c96bfbec4575dc7de04af187ec6be4"),
     ("belsley-no-intercept", "csv", "c17597402a748dcf0194c3f7bd702b58a85ee2b8df1c2baf0cea5d6c0d6d00ad"),
     ("belsley-threshold", "text", "e6979810ff80ad727c7ba9fe4f0ec8a7c45f08c62ab865bae4dd2f8206591df5"),
-    ("belsley-threshold", "json", "6dc44a3ecb72d9ac0fc9d30d827871bd9d22322e57613720150f32aaca61382e"),
-    ("belsley-threshold", "csv", "e83b091b872d16b36f23553dd8bcd685bf2f0b192999beb62781bc4c78124f18"),
+    ("belsley-threshold", "json", "1005aff8e2c1784b168d0db3e8cbdf83053dcfa53b547e3485631a147838778f"),
+    ("belsley-threshold", "csv", "769e121e45a5dd4b5edf0296602d38891e93aff11edee4153e429cef3278954a"),
     ("collinear", "text", "b1b1951119d9b920d423a3229a315b8fd43d55a25acc1b4063d665d7ad39cf17"),
-    ("collinear", "json", "36c034878cce8fcce2ece6fde962d8c3049a32256f6192173c9c7454fbbcebda"),
-    ("collinear", "csv", "71fa463252e1051ef83df1eac9e76f34ed0f76ec6dbc080064f91ef2bcc7393c"),
+    ("collinear", "json", "4fc19e172f74aaaceeac5af92483a82f7ef1fd39dd2879be9f25ea6709baaca2"),
+    ("collinear", "csv", "61b256b6f1b262e2198b1cab2dc080d13635fe640223ddf6ee110fa585d95a01"),
     ("constant", "text", "d719faf3c7660617b3d6dbca3d5b28ba114a0f0aec06b9ce274190b948c65d44"),
     ("constant", "json", "c3d415bf739bbf2be24e05084d8f91ed7778866ff351ca41b4057f2f7afa630e"),
     ("constant", "csv", "2c38419dfcd5856499b0b02e8bda11a8877a6c37848679412fe53618644174b0"),
@@ -490,8 +490,8 @@ CLI_GOLDENS = [
     ("aux-centered", "json", "15a98d9e175334968c679a2a150c6216e4456a4dddbea7fe3ac94d0d48b60a9b"),
     ("aux-centered", "csv", "6c8af126f15745c03da265a13b7952f9cfd4eeb84be7aca98f10f93348bf9254"),
     ("replicate", "text", "19f2226c0d7fb36c5ad1145056a0de2943859493e766d14ff150521b010f9e4a"),
-    ("replicate", "json", "2f67ff74f3ee1863e66e943ee25f7de87184c6b1af34ba021935ced68f3eda50"),
-    ("replicate", "csv", "314c42d5996fec597165dcc4645ebe39d659d99c38d7ea592d0d9bc6e509a92c"),
+    ("replicate", "json", "30cdc50a2eb0554130ad0767edb1a88ab201be78c26d1b9a2ca90b8b7c598c13"),
+    ("replicate", "csv", "7275d6dbcb0c3e591374cdb95ae07eb1596585cc0eebecc65bde75ec6918cd29"),
 ]
 
 

@@ -1,7 +1,7 @@
 """Closed-form diagnostics against per-column refits, across a conditioning sweep.
 
 ``full_report``, ``variance_factors``, ``vif`` and ``vifnc`` read every
-auxiliary RSS off one QR factor. ``auxiliary_regression`` refits each
+auxiliary RSS off one QR factor of the matrix. ``auxiliary_regression`` refits each
 column on its own and forms the residual explicitly. The twice-iterated
 Gram-Schmidt projection in ``oracles.py`` is a third route that does not
 touch ``numpy.linalg``. The sweep plants near-dependencies with noise from
@@ -37,7 +37,7 @@ from vifnc import (
     vif,
     vifnc,
 )
-from vifnc.diagnostics import DEFAULT_PERFECT_TOL, _ratio_or_inf, _term
+from vifnc.diagnostics import DEFAULT_PERFECT_TOL
 from vifnc.linalg import aux_rss
 
 from oracles import project_residual_rss
@@ -95,19 +95,17 @@ def test_closed_forms_match_per_column_fits(seed, n, k, noise_exponent, kind, in
         aux_c = auxiliary_regression(data, j, others, AuxiliaryMode.CENTERED)
         assert_ratio(vifnc(data, j, others), tss, aux_nc.rss)
         assert_ratio(vif(data, j, others), aux_c.tss_centered, aux_c.rss)
-        # the per-column route that the factor replaced: the kernel on [1, others..., j]
-        rss_c = float(aux_rss(data.matrix(tuple(others) + (j,), intercept=True))[0][-1])
-        mean = float(x.mean())
-        vif_c = float(_ratio_or_inf(float(((x - mean) ** 2).sum()), rss_c))
-        assert vif(data, j, others) == vif_c
-        assert stewart_decomposition(data, j, others) == (vif_c, _term(vif_c, mean, n, rss_c))
+        # a per-column call reads the report's factor on the same column set: its row's bits
+        row = report.rows[i]
+        assert vifnc(data, j, others) == row.vifnc
+        assert vif(data, j, others) == row.vif
+        assert stewart_decomposition(data, j, others) == (row.vif, row.nonessential_term)
 
         rss_model = aux_c.rss if intercept else aux_nc.rss
         factor = factors[i + 1 if intercept else i]
         assert factor.var_over_sigma2 == pytest.approx(1.0 / rss_model, rel=RTOL)
         assert factor.ratio == pytest.approx(tss / rss_model, rel=RTOL)
 
-        row = report.rows[i]
         assert row.rss_aux_noncentered == pytest.approx(aux_nc.rss, rel=RTOL)
         assert row.rss_aux_centered == pytest.approx(aux_c.rss, rel=RTOL)
         assert_ratio(row.vifnc, tss, aux_nc.rss)
@@ -146,15 +144,16 @@ def test_closed_form_rss_matches_gram_schmidt_oracle(kind, noise_exponent):
     kind=st.sampled_from(KINDS),
 )
 def test_through_origin_variance_factors_match_the_kernel_on_x(seed, n, k, noise_exponent, kind):
-    """Through-origin values read R[:, 1:] of a factor of [1, X], not X itself.
+    """Through-origin values read columns of a factor of [1, D], not X itself.
 
-    ``variance_factors`` reads the report's factor, ``vifnc`` that of
-    ``[1, others..., j]`` and ``intercept_trick`` that of ``[1, 1, X]``.
-    Each is a backward-stable factor of X, so it agrees with the kernel on
-    X to a few eps times the condition of X with unit-length columns:
-    6,000 designs of this sweep gave at most 49 eps * cond on zero-mean
-    columns (cond below 10) and 4.3 eps * cond on planted relations, and
-    every value that read ``inf`` read below the sentinel on X as well.
+    ``variance_factors``, ``vifnc`` and ``intercept_trick`` read the
+    columns S of R of ``[1, D]``, with D every column of the matrix (y and
+    the ones column among them). ``R[:, S]`` is a backward-stable factor of
+    X, so it agrees with the kernel on X to a few eps times the condition
+    of X with unit-length columns: 6,000 designs of this sweep gave at
+    most 39 eps * cond on zero-mean columns (cond below 10) and 11 eps *
+    cond on the others, and every value that read ``inf`` read below the
+    sentinel on X as well.
     The gap is within 1e-10 up to cond 4.5e3; above that (planted
     relations at noise 1e-3 and below, cond up to 6e7) the bound
     100 eps * cond takes over.

@@ -13,12 +13,14 @@ from vifnc import (
     auxiliary_regression,
     full_report,
     intercept_trick,
+    replication_table,
     stewart_decomposition,
     stewart_index,
     variance_factors,
     vif,
     vifnc,
 )
+from vifnc import diagnostics
 from vifnc.diagnostics import DEFAULT_PERFECT_TOL, _ratio_or_inf
 from vifnc.errors import (
     ConstantRegressor,
@@ -147,6 +149,18 @@ class TestStewartIndex:
         data = DataMatrix.from_columns({"a": np.cos(x), "b": x, "c": x.copy()})
         with pytest.raises(RankDeficient):
             stewart_index(data, "a", ["b", "c"])
+
+    def test_rank_test_ignores_the_units_of_a_column(self):
+        # unscaled, the Gram matrix of [a, 1e8 b] spans 16 decades and its rank test failed
+        rng = np.random.default_rng(3)
+        a, b, c = rng.normal(size=(3, 30))
+        for scale in (1e-8, 1.0, 1e4, 1e8):
+            data = DataMatrix.from_columns({"a": a, "b": scale * b, "c": c})
+            assert stewart_index(data, "c") == pytest.approx(vifnc(data, "c"), rel=1e-13)
+            assert stewart_index(data, "c") == pytest.approx(1.049209, rel=1e-6)
+        data = DataMatrix.from_columns({"a": a, "zero": np.zeros(30), "c": c})
+        with pytest.raises(RankDeficient):
+            stewart_index(data, "c")
 
 
 class TestStewartDecomposition:
@@ -424,7 +438,9 @@ class TestFullReport:
 
 
 class TestSharedFactor:
-    """Every diagnostic reads one factor of [1, X] per design."""
+    """Every diagnostic reads one factor of [1, D], D every column of the DataMatrix."""
+
+    NAMES = ("x0", "x1", "x2", "near", "sum")
 
     @staticmethod
     def tall_data(seed=5, n=2_000):
@@ -452,33 +468,67 @@ class TestSharedFactor:
         for intercept in (True, False):
             data = self.tall_data()
             shapes.clear()
-            spec = ModelSpec("y", ("x0", "x1", "x2", "near", "sum"), intercept=intercept)
+            spec = ModelSpec("y", self.NAMES, intercept=intercept)
             full_report(data, spec)
             variance_factors(data, spec)
-            # one QR of [1, X], then the kernel's two of 6-row factors
-            assert shapes == [(data.n, 6), (6, 5), (6, 6)]
+            # one QR of [1, D] (D has 9 columns), then the kernel's two of 10-row blocks of R
+            assert shapes == [(data.n, 10), (10, 5), (10, 6)]
+
+    def test_every_diagnostic_on_every_target_takes_one_qr_of_the_n_row_design(
+        self, monkeypatch
+    ):
+        data = self.tall_data()
+        shapes = self.qr_shapes(monkeypatch)
+        for intercept in (True, False):
+            spec = ModelSpec("y", self.NAMES, intercept=intercept)
+            full_report(data, spec)
+            variance_factors(data, spec)
+        intercept_trick(data, ("one",) + self.NAMES)
+        for j in data.names:
+            others = [o for o in data.names if o != j]
+            vifnc(data, j, others)
+            if j != "one":
+                vif(data, j, others)
+                stewart_decomposition(data, j, others)
+        assert [shape for shape in shapes if shape[0] == data.n] == [(data.n, 10)]
 
     def test_per_column_calls_on_the_last_regressor_read_the_report_factor(self, monkeypatch):
-        names = ("x0", "x1", "x2", "near", "sum")
+        # and so do the calls on every other target: each equals its report row to the bit
         for intercept in (True, False):
             data = self.tall_data()
-            row = full_report(data, ModelSpec("y", names, intercept=intercept)).rows[-1]
+            rows = full_report(data, ModelSpec("y", self.NAMES, intercept=intercept)).rows
             shapes = self.qr_shapes(monkeypatch)
-            assert vif(data, "sum", names[:-1]) == row.vif
-            assert vifnc(data, "sum", names[:-1]) == row.vifnc
-            parts = stewart_decomposition(data, "sum", names[:-1])
-            assert parts == (row.vif, row.nonessential_term)
+            for j, row in zip(self.NAMES, rows):
+                others = [o for o in self.NAMES if o != j]
+                assert vif(data, j, others) == row.vif
+                assert vifnc(data, j, others) == row.vifnc
+                parts = stewart_decomposition(data, j, others)
+                assert parts == (row.vif, row.nonessential_term)
+                # naming order does not reach the bits
+                assert vifnc(data, j, others[::-1]) == row.vifnc
             assert all(shape[0] < data.n for shape in shapes), shapes
             monkeypatch.undo()
+
+    def test_replication_table_builds_one_factor(self, monkeypatch):
+        built = []
+
+        class Counting(diagnostics._Factor):
+            def __init__(self, data):
+                built.append(data.n)
+                super().__init__(data)
+
+        monkeypatch.setattr(diagnostics, "_Factor", Counting)
+        assert all(entry.passed for entry in replication_table())
+        assert built == [20]
 
     def test_alternating_specs_match_a_fresh_matrix_bit_for_bit(self):
         data = self.tall_data()
         specs = [
-            ModelSpec("y", ("x0", "x1", "x2", "near", "sum")),
-            ModelSpec("y", ("x0", "x1", "x2", "near", "sum"), intercept=False),
+            ModelSpec("y", self.NAMES),
+            ModelSpec("y", self.NAMES, intercept=False),
             ModelSpec("y", ("x3", "x4", "near")),
             ModelSpec("y", ("one", "x3", "x4", "near"), intercept=False),
-            # a per-column call keeps the factor of (others..., j), here the next spec's
+            # a per-column call reads the same factor, here on the next spec's columns
             ("sum", ("near", "x3")),
             ModelSpec("x2", ("near", "x3", "sum")),
         ]
@@ -490,6 +540,41 @@ class TestSharedFactor:
             assert full_report(data, spec) == full_report(fresh, spec)
             fresh = DataMatrix(data.names, data.values.copy())
             assert variance_factors(data, spec) == variance_factors(fresh, spec)
+
+    def test_more_columns_than_rows_still_reports_a_small_model(self):
+        rng = np.random.default_rng(8)
+        data = DataMatrix(tuple(f"x{i}" for i in range(8)), rng.normal(2.0, 1.0, (4, 8)))
+        report = full_report(data, ModelSpec("x0", ("x1", "x2")))
+        # the same model on a matrix of its own columns, whose factor is square
+        alone = DataMatrix(data.names[:3], data.values[:, :3])
+        alone = full_report(alone, ModelSpec("x0", ("x1", "x2")))
+        for row, expected in zip(report.rows, alone.rows):
+            assert math.isfinite(row.vif) and math.isfinite(row.vifnc)
+            assert row.vif == pytest.approx(expected.vif, rel=1e-12)
+            assert row.vifnc == pytest.approx(expected.vifnc, rel=1e-12)
+        # a centered auxiliary regression of 1 + 3 columns on 4 rows is square: a perfect fit
+        rows = full_report(data, ModelSpec("x0", ("x1", "x2", "x3", "x4"))).rows
+        assert all(math.isinf(row.vif) for row in rows)
+        for regressors in (("x1", "x2", "x3", "x4", "x5"), ("x1", "x2", "x3", "x4", "x5", "x6")):
+            with pytest.raises(TooFewObservations):
+                full_report(data, ModelSpec("x0", regressors))
+        with pytest.raises(TooFewObservations):
+            vif(data, "x1", ["x2", "x3", "x4", "x5"])
+        assert math.isinf(vifnc(data, "x1", ["x2", "x3", "x4", "x5"]))
+
+    def test_row_blocks_give_the_one_pass_values(self, monkeypatch):
+        data = self.tall_data()
+        spec = ModelSpec("y", self.NAMES)
+        one_pass = full_report(data, spec)
+        monkeypatch.setattr(diagnostics, "_FACTOR_BYTES", 64 * 10 * 8)  # 64 rows of [1, D]
+        blocked = full_report(DataMatrix(data.names, data.values.copy()), spec)
+        # both are backward stable: they differ by rounding, eps * cond with cond 2e5 here
+        A = data.matrix(self.NAMES, intercept=True)
+        rtol = 100 * np.finfo(float).eps * np.linalg.cond(A / np.linalg.norm(A, axis=0))
+        for row, expected in zip(blocked.rows, one_pass.rows):
+            assert (row.mean, row.coef_variation) == (expected.mean, expected.coef_variation)
+            for key in ("vif", "vifnc", "stewart_k2", "nonessential_term"):
+                assert getattr(row, key) == pytest.approx(getattr(expected, key), rel=rtol)
 
     def test_rows_keep_the_column_arithmetic_to_the_bit(self):
         # the factor's sums follow the floating-point order of the per-column
