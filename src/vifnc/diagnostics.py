@@ -20,12 +20,14 @@ centered TSS and constant flag. A column set S is read at its positions in
 D, in D's order: the kernel on ``R[:, [0] + S]`` gives the centered RSS and
 on ``R[:, S]`` the through-origin ones, since ``R[:, S]'R[:, S] = D_S'D_S``.
 So ``full_report``, ``variance_factors``, ``intercept_trick``, ``vif``,
-``vifnc`` and ``stewart_decomposition`` share one factor per matrix, and a
+``vifnc``, ``stewart_decomposition`` and, on its stack of replications,
+:func:`vifnc.montecarlo.run_scenario` share one factor per matrix, and a
 value depends on the data and the column set alone: a per-column call
-equals the report row of a model on the same columns, bit for bit. The
-factor costs n*K^2 for K columns, so a caller pays for every column of
-the matrix it passes. ``stewart_index`` (the Gram system) and
-``auxiliary_regression`` (a refit) keep routes of their own.
+equals the report row of a model on the same columns, and a replication
+the calls on its own matrix, bit for bit. The factor costs n*K^2 for K
+columns, so a caller pays for every column of the matrix it passes.
+``stewart_index`` (the Gram system) and ``auxiliary_regression`` (a refit)
+keep routes of their own.
 
 Conventions: ``vifnc(j, regressors)`` regresses j on exactly the named
 regressors and never adds a ones column; passing an explicit all-ones
@@ -52,7 +54,7 @@ from .ols import INTERCEPT_NAME, DataMatrix, FitResult, ModelSpec, fit
 #: Auxiliary R-squared at or above 1 - DEFAULT_PERFECT_TOL, that is an RSS
 #: of at most this fraction of its total sum of squares, reads ``math.inf``.
 DEFAULT_PERFECT_TOL = 1e-12
-#: Bytes of ``[1, D]`` that the factor of a DataMatrix takes at a time (see ``_Factor``).
+#: Bytes of one design's ``[1, D]`` that the factor takes at a time (see ``_Factor``).
 _FACTOR_BYTES = 1 << 20
 
 
@@ -166,14 +168,16 @@ def _term(vif: float, mean: float, n: int, rss: float) -> float:
 
 
 class _Factor:
-    """One Householder factor of ``[1, D]``, D every column of a DataMatrix, and its column sums.
+    """One Householder factor of ``[1, D]`` and its column sums, D of shape ``(..., n, K)``.
 
-    ``r`` is R of ``[1, D] = QR``, taken in blocks of rows of about
-    :data:`_FACTOR_BYTES`: R of the rows so far, stacked on the next
-    block, is factored again, which is as backward stable as one pass,
-    keeps the block in cache and never copies the whole matrix.
+    D is one design or a stack of them, each read alone: a stack's fields
+    equal each design's to the bit. ``r`` is R of ``[1, D] = QR``, taken in
+    blocks of rows of about :data:`_FACTOR_BYTES` per design: R of the rows
+    so far, stacked on the next block, is factored again, which is as
+    backward stable as one pass, keeps the block in cache and never copies
+    the whole matrix.
 
-    Per column of D, in the matrix's order: ``mean``, ``xtx`` (``x'x``),
+    Arrays over ``(..., K)``, per column of D: ``mean``, ``xtx`` (``x'x``),
     ``tss_c`` (the centered TSS) and ``constant`` (every entry equal), each
     in the floating-point order of ``x.mean()``, ``x @ x`` and
     ``((x - mean) ** 2).sum()`` on the column, so the values do not depend
@@ -187,31 +191,35 @@ class _Factor:
     column before the kernel can object to the design's shape.
     """
 
-    def __init__(self, data: DataMatrix):
-        # on the strided view: BLAS sums a contiguous copy in another order
-        self.xtx = [float(x @ x) for x in data.values.T]
+    def __init__(self, values: np.ndarray):
+        *stack, n, k = values.shape
+        # on each strided column: BLAS sums a contiguous copy in another order
+        xtx = [(v[..., None, :] @ v[..., :, None])[..., 0, 0] for v in np.moveaxis(values, -1, 0)]
+        self.xtx = np.stack(xtx, axis=-1)
         # allocated first: a buffer taken after the QR's temporaries sits above
         # them on the heap and keeps it from shrinking once they are freed
-        x = np.empty(data.n)  # contiguous, as the sums' floating-point order needs
-        self.r = np.empty((0, len(data.names) + 1))
-        block = max(1, _FACTOR_BYTES // (8 * self.r.shape[1]))
-        for start in range(0, data.n, block):
-            rows = data.values[start : start + block]
-            design = np.empty((len(self.r) + len(rows), self.r.shape[1]), order="F")
-            design[: len(self.r)] = self.r
-            design[len(self.r) :, 0] = 1.0
-            design[len(self.r) :, 1:] = rows
+        x = np.empty((*stack, n))  # contiguous, as the sums' floating-point order needs
+        self.mean, self.tss_c = np.empty((*stack, k)), np.empty((*stack, k))
+        self.constant = np.empty((*stack, k), dtype=bool)
+        self.r = np.empty((*stack, 0, k + 1))
+        block = max(1, _FACTOR_BYTES // (8 * (k + 1)))
+        for start in range(0, n, block):
+            rows = values[..., start : start + block, :]
+            # each design in Fortran order, as LAPACK takes it
+            design = np.empty((*stack, k + 1, self.r.shape[-2] + rows.shape[-2])).swapaxes(-1, -2)
+            design[..., : self.r.shape[-2], :] = self.r
+            design[..., self.r.shape[-2] :, 0] = 1.0
+            design[..., self.r.shape[-2] :, 1:] = rows
             self.r = np.linalg.qr(design, mode="r")
-        self.mean, self.tss_c, self.constant = [], [], []
-        for column in data.values.T:
-            x[:] = column
-            self.constant.append(bool(x.min() == x.max()))
-            self.mean.append(float(x.mean()))
-            x -= self.mean[-1]
-            self.tss_c.append(float(np.multiply(x, x, out=x).sum()))
+        for c in range(k):
+            x[...] = values[..., c]
+            self.constant[..., c] = x.min(axis=-1) == x.max(axis=-1)
+            self.mean[..., c] = mean = x.mean(axis=-1)
+            x -= mean[..., None]
+            self.tss_c[..., c] = np.multiply(x, x, out=x).sum(axis=-1)
         self._rss = {}
 
-    def rss(self, positions: Sequence[int], centered: bool) -> tuple[np.ndarray, int]:
+    def rss(self, positions: Sequence[int], centered: bool) -> tuple[np.ndarray, np.ndarray]:
         """``aux_rss`` of the columns at ``positions``, in their given order, and the rank.
 
         ``centered`` puts the ones column first, and its RSS first in the result.
@@ -219,27 +227,36 @@ class _Factor:
         lead, canonical = int(centered), tuple(sorted(positions))
         if (lead, canonical) not in self._rss:
             columns = [0] * lead + [p + 1 for p in canonical]
-            self._rss[lead, canonical] = aux_rss(self.r[:, columns])
+            self._rss[lead, canonical] = aux_rss(self.r[..., columns])
         rss, rank = self._rss[lead, canonical]
         out = rss.copy()
-        out[lead + np.argsort(positions, kind="stable")] = rss[lead:]
-        return out, int(rank)
+        out[..., lead + np.argsort(positions, kind="stable")] = rss[..., lead:]
+        return out, rank
 
 
 def _factor(data: DataMatrix) -> _Factor:
     """The factor of every column of ``data``, built once and kept on ``data``."""
     factor = data.__dict__.get("_factor")
     if factor is None:
-        factor = _Factor(data)
+        factor = _Factor(data.values)
         object.__setattr__(data, "_factor", factor)  # frozen, but its values never change
     return factor
 
 
-def _positions(data: DataMatrix, names: Sequence[str]) -> list[int]:
-    """Each name's column position in ``data``; :class:`UnknownColumn` for the first it lacks."""
+def _factor_at(data: DataMatrix, names: Sequence[str]) -> tuple[_Factor, list[int]]:
+    """:func:`_factor` and each name's position; :class:`UnknownColumn` for the first it lacks."""
     for name in names:
         data.column(name)
-    return [data.names.index(name) for name in names]
+    return _factor(data), [data.names.index(name) for name in names]
+
+
+def _nonzero_xtx(factor: _Factor, names: Sequence[str], positions: list[int]) -> np.ndarray:
+    """``x'x`` of the columns at ``positions``; :class:`ZeroColumn` names the first all-zero one."""
+    xtx = factor.xtx[positions]
+    for name, value in zip(names, xtx):
+        if value == 0.0:
+            raise ZeroColumn(f"column {name!r} is identically zero")
+    return xtx
 
 
 def _centered_on_others(
@@ -250,13 +267,13 @@ def _centered_on_others(
     Raises :class:`ConstantRegressor`, saying that ``undefined`` is undefined,
     when column j is exactly constant.
     """
-    positions = _positions(data, _others(data, j, regressors) + (j,))
-    factor, i = _factor(data), positions[-1]
+    factor, positions = _factor_at(data, _others(data, j, regressors) + (j,))
+    i = positions[-1]
     if factor.constant[i]:
         raise ConstantRegressor(f"column {j!r} is constant; {undefined} is undefined")
     rss = float(factor.rss(positions, centered=True)[0][-1])
     value = float(_ratio_or_inf(factor.tss_c[i], rss))
-    return value, _term(value, factor.mean[i], data.n, rss)
+    return value, _term(value, float(factor.mean[i]), data.n, rss)
 
 
 def vif(
@@ -288,11 +305,9 @@ def vifnc(
     added here; include one in ``regressors`` explicitly to expose
     non-essential collinearity (the intercept trick).
     """
-    positions = _positions(data, _others(data, j, regressors) + (j,))
-    factor, i = _factor(data), positions[-1]
-    if factor.xtx[i] == 0.0:
-        raise ZeroColumn(f"column {j!r} is identically zero")
-    return float(_ratio_or_inf(factor.xtx[i], factor.rss(positions, centered=False)[0][-1]))
+    factor, positions = _factor_at(data, _others(data, j, regressors) + (j,))
+    xtx = _nonzero_xtx(factor, (j,), positions[-1:])[0]
+    return float(_ratio_or_inf(xtx, factor.rss(positions, centered=False)[0][-1]))
 
 
 def stewart_index(
@@ -366,16 +381,14 @@ def variance_factors(
     below :data:`vifnc.linalg.SCALED_RANK_RTOL` times the largest counts
     as zero, whatever the columns' units.
     """
-    positions = _positions(data, spec.regressors)
-    factor = _factor(data)
+    factor, positions = _factor_at(data, spec.regressors)
     rss, rank = factor.rss(positions, spec.intercept)
     if rank < rss.shape[0]:
         raise RankDeficient("model design is numerically rank deficient")
     # the ones column: x'x = n, and it is the intercept
     lead = [(INTERCEPT_NAME, float(data.n), True)] if spec.intercept else []
-    columns = lead + [
-        (j, factor.xtx[i], factor.constant[i]) for j, i in zip(spec.regressors, positions)
-    ]
+    xtx, constant = factor.xtx[positions].tolist(), factor.constant[positions].tolist()
+    columns = lead + list(zip(spec.regressors, xtx, constant))
     return [
         VarianceFactor(
             variable=name,
@@ -406,12 +419,8 @@ def intercept_trick(
         raise NoConstantColumn("the intercept trick needs an explicit all-ones regressor")
     if len(ones) > 1:
         raise ValueError(f"more than one all-ones regressor: {ones}")
-    positions = _positions(data, regressors)
-    factor = _factor(data)
-    xtx = [factor.xtx[i] for i in positions]
-    for j, xtx_j in zip(regressors, xtx):
-        if xtx_j == 0.0:
-            raise ZeroColumn(f"column {j!r} is identically zero")
+    factor, positions = _factor_at(data, regressors)
+    xtx = _nonzero_xtx(factor, regressors, positions)
     values = _ratio_or_inf(xtx, factor.rss(positions, centered=False)[0])
     return [(j, float(value)) for j, value in zip(regressors, values)]
 
@@ -444,13 +453,9 @@ def full_report(
     if len(spec.regressors) < 2:
         raise ValueError("a collinearity report needs at least two regressors")
     data.column(spec.dependent)
-    positions = _positions(data, spec.regressors)
-    factor = _factor(data)
-    xtx = [factor.xtx[i] for i in positions]
-    tss_c = [factor.tss_c[i] for i in positions]
-    for j, xtx_j in zip(spec.regressors, xtx):
-        if xtx_j == 0.0:
-            raise ZeroColumn(f"column {j!r} is identically zero")
+    factor, positions = _factor_at(data, spec.regressors)
+    xtx = _nonzero_xtx(factor, spec.regressors, positions)
+    tss_c = factor.tss_c[positions]
     rss_nc = factor.rss(positions, centered=False)[0]
     rss_c = factor.rss(positions, centered=True)[0][1:]
     values_nc = _ratio_or_inf(xtx, rss_nc)
@@ -459,7 +464,7 @@ def full_report(
 
     rows = []
     for i, (j, position) in enumerate(zip(spec.regressors, positions)):
-        mean = factor.mean[position]
+        mean = float(factor.mean[position])
         # sd = sqrt(tss_c / (n - 1)) is x.std(ddof=1) to the bit
         cv = math.inf if mean == 0.0 else math.sqrt(tss_c[i] / (data.n - 1)) / abs(mean)
         value_nc = float(values_nc[i])

@@ -18,8 +18,8 @@ Each replication derives its own child seed from (master_seed, index), so
 results never depend on execution order. The replications' designs go into
 one stacked array: each column index is drawn for every replication in one
 call of the array generator, bit-equal to drawing each replication's
-columns one at a time. Both diagnostics of every replication come from two
-calls of the auxiliary-RSS kernel: one on ``[1, X]`` and one on ``X``.
+columns one at a time. Both diagnostics of every replication come from one
+factor of that stack, the one :mod:`vifnc.diagnostics` takes of a DataMatrix.
 """
 
 from __future__ import annotations
@@ -30,10 +30,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import Thresholds, _ratio_or_inf
+from .diagnostics import Thresholds, _Factor, _ratio_or_inf
 from .errors import ConfigError
 from .datasets import _derive_seeds, _normal_columns
-from .linalg import aux_rss
 
 KINDS = ("independent", "essential", "nonessential")
 
@@ -156,7 +155,9 @@ def run_scenario(spec: ScenarioSpec, thresholds: Thresholds = Thresholds()) -> M
     Replication r uses child seed ``derive_seed(master_seed, r)``; the
     designs of all replications are drawn together, one generator call
     per column index, and summarized at the end, so the summary is a
-    function of the seed alone.
+    function of the seed alone. VIF and VIFnc are read off one factor of
+    the stacked designs, so each replication's values equal ``vif`` and
+    ``vifnc`` of its own DataMatrix, bit for bit.
 
     Only the structurally collinear column is diagnosed, which keeps the
     summary interpretable. A replication counts as failed when either
@@ -164,26 +165,20 @@ def run_scenario(spec: ScenarioSpec, thresholds: Thresholds = Thresholds()) -> M
     failures are disclosed in ``n_failed`` and excluded from the
     percentiles.
     """
-    designs = np.empty((spec.replications, spec.n, 1 + _WIDTH[spec.kind]))
-    designs[:, :, 0] = 1.0
+    x = np.empty((spec.replications, spec.n, _WIDTH[spec.kind]))
     seeds = _derive_seeds(spec.master_seed, np.arange(spec.replications, dtype=np.uint64))
-    _generate(spec, seeds, designs[:, :, 1:])
-    x = designs[:, :, 1:]
-    tss = np.einsum("rij,rij->rj", x, x)
-    tss_centered = ((x - x.mean(axis=1, keepdims=True)) ** 2).sum(axis=1)
-    j = _DESIGNATED[spec.kind]
+    _generate(spec, seeds, x)
+    factor, columns, j = _Factor(x), range(x.shape[-1]), _DESIGNATED[spec.kind]
     # a constant or zero column has RSS 0 and so reads inf, like a perfect fit
-    varr = _ratio_or_inf(tss_centered[:, j], aux_rss(designs)[0][:, 1 + j])
-    warr = _ratio_or_inf(tss[:, j], aux_rss(x)[0][:, j])
+    varr = _ratio_or_inf(factor.tss_c[:, j], factor.rss(columns, centered=True)[0][:, 1 + j])
+    warr = _ratio_or_inf(factor.xtx[:, j], factor.rss(columns, centered=False)[0][:, j])
     ok = np.isfinite(varr) & np.isfinite(warr)
     varr, warr = varr[ok], warr[ok]
-    succeeded = int(ok.sum())
-    failed = spec.replications - succeeded
     return MonteCarloSummary(
         scenario=spec,
         thresholds=thresholds,
-        n_success=succeeded,
-        n_failed=failed,
+        n_success=int(ok.sum()),
+        n_failed=int((~ok).sum()),
         vif_stats=_stats(varr),
         vifnc_stats=_stats(warr),
         vif_exceedance=float((varr >= thresholds.vif).mean()) if varr.size else float("nan"),

@@ -9,18 +9,20 @@ from vifnc import (
     AuxiliaryMode,
     DataMatrix,
     ModelSpec,
+    ScenarioSpec,
     Thresholds,
     auxiliary_regression,
     full_report,
     intercept_trick,
     replication_table,
+    run_scenario,
     stewart_decomposition,
     stewart_index,
     variance_factors,
     vif,
     vifnc,
 )
-from vifnc import diagnostics
+from vifnc import diagnostics, montecarlo
 from vifnc.diagnostics import DEFAULT_PERFECT_TOL, _ratio_or_inf
 from vifnc.errors import (
     ConstantRegressor,
@@ -513,13 +515,32 @@ class TestSharedFactor:
         built = []
 
         class Counting(diagnostics._Factor):
-            def __init__(self, data):
-                built.append(data.n)
-                super().__init__(data)
+            def __init__(self, values):
+                built.append(values.shape[-2])
+                super().__init__(values)
 
         monkeypatch.setattr(diagnostics, "_Factor", Counting)
+        monkeypatch.setattr(montecarlo, "_Factor", Counting)
         assert all(entry.passed for entry in replication_table())
         assert built == [20]
+        run_scenario(ScenarioSpec(kind="independent", n=30, replications=7, master_seed=1))
+        assert built == [20, 30]
+
+    @pytest.mark.parametrize("n", [4, 20, 500])
+    def test_a_stack_factors_each_design_as_its_slice_alone(self, n):
+        rng = np.random.default_rng(n)
+        stack = rng.normal(rng.uniform(-3, 3, 3), 2.0, (6, n, 3))
+        stack[..., 1] = 7.0 + 1e-7 * rng.normal(size=(6, n))
+        whole = diagnostics._Factor(stack)
+        reads = [(cols, centered) for cols in ([0, 1, 2], [2, 0]) for centered in (True, False)]
+        for i, design in enumerate(stack):
+            alone = diagnostics._Factor(design)
+            for field in ("r", "xtx", "mean", "tss_c", "constant"):
+                assert np.array_equal(getattr(whole, field)[i], getattr(alone, field)), field
+            for cols, centered in reads:
+                rss, rank = whole.rss(cols, centered)
+                rss_alone, rank_alone = alone.rss(cols, centered)
+                assert np.array_equal(rss[i], rss_alone) and rank[i] == rank_alone
 
     def test_alternating_specs_match_a_fresh_matrix_bit_for_bit(self):
         data = self.tall_data()
