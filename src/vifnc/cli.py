@@ -126,8 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=True,
         help="fit the model with an intercept (default: yes)",
     )
-    diagnose.add_argument("--vif-threshold", type=float, default=10.0)
-    diagnose.add_argument("--vifnc-threshold", type=float, default=10.0)
+    diagnose.add_argument("--vif-threshold", type=float, default=Thresholds.vif)
+    diagnose.add_argument("--vifnc-threshold", type=float, default=Thresholds.vifnc)
     _add_format(diagnose)
     diagnose.set_defaults(func=cmd_diagnose)
 

@@ -181,7 +181,8 @@ class _Factor:
     ``tss_c`` (the centered TSS) and ``constant`` (every entry equal), each
     in the floating-point order of ``x.mean()``, ``x @ x`` and
     ``((x - mean) ** 2).sum()`` on the column, so the values do not depend
-    on the route that read them.
+    on the route that read them. A constant column's mean is its value, so
+    its ``tss_c`` is exactly 0.
 
     A column set is read at its positions in D, in D's order, so a value
     depends on the data and the set alone. Since ``R[:, S]'R[:, S]`` is
@@ -213,8 +214,8 @@ class _Factor:
             self.r = np.linalg.qr(design, mode="r")
         for c in range(k):
             x[...] = values[..., c]
-            self.constant[..., c] = x.min(axis=-1) == x.max(axis=-1)
-            self.mean[..., c] = mean = x.mean(axis=-1)
+            self.constant[..., c] = constant = x.min(axis=-1) == x.max(axis=-1)
+            self.mean[..., c] = mean = np.where(constant, x[..., 0], x.mean(axis=-1))
             x -= mean[..., None]
             self.tss_c[..., c] = np.multiply(x, x, out=x).sum(axis=-1)
         self._rss = {}
@@ -414,12 +415,13 @@ def intercept_trick(
     unique; it is never synthesized here.
     """
     regressors = tuple(regressors)
-    ones = [name for name in regressors if np.all(data.column(name) == 1.0)]
+    factor, positions = _factor_at(data, regressors)
+    is_ones = factor.constant[positions] & (factor.mean[positions] == 1.0)
+    ones = [name for name, one in zip(regressors, is_ones) if one]
     if not ones:
         raise NoConstantColumn("the intercept trick needs an explicit all-ones regressor")
     if len(ones) > 1:
         raise ValueError(f"more than one all-ones regressor: {ones}")
-    factor, positions = _factor_at(data, regressors)
     xtx = _nonzero_xtx(factor, regressors, positions)
     values = _ratio_or_inf(xtx, factor.rss(positions, centered=False)[0])
     return [(j, float(value)) for j, value in zip(regressors, values)]

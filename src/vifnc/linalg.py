@@ -33,7 +33,7 @@ class LeastSquaresSolution:
     Attributes
     ----------
     coefficients : ndarray
-        Minimum-norm least-squares solution, one entry per design column.
+        Least-squares solution, one per design column (see :func:`solve_least_squares`).
     rank : int
         Numerical rank: the number of singular values of the design with
         unit-length columns above :data:`SCALED_RANK_RTOL` times the largest.
@@ -73,14 +73,14 @@ def as_vector(b, name: str = "vector") -> np.ndarray:
 
 
 def _scaled_spectrum(r: np.ndarray):
-    """Column norms of ``r``, the SVD ``s, V'`` of ``r`` with unit-length columns, and its rank.
+    """Column norms of ``r``, the SVD ``U, s, V'`` of ``r`` with unit-length columns, and its rank.
 
     The rank counts singular values above :data:`SCALED_RANK_RTOL` times
     the largest. A zero column stays zero instead of being divided by its norm.
     """
     norms = np.linalg.norm(r, axis=-2)
-    _, s, vh = np.linalg.svd(r / np.where(norms > 0.0, norms, 1.0)[..., None, :])
-    return norms, s, vh, np.count_nonzero(s > SCALED_RANK_RTOL * s[..., :1], axis=-1)
+    u, s, vh = np.linalg.svd(r / np.where(norms > 0.0, norms, 1.0)[..., None, :])
+    return norms, u, s, vh, np.count_nonzero(s > SCALED_RANK_RTOL * s[..., :1], axis=-1)
 
 
 def aux_rss(design) -> tuple[np.ndarray, np.ndarray]:
@@ -143,7 +143,7 @@ def aux_rss(design) -> tuple[np.ndarray, np.ndarray]:
     if n < k:
         # a zero row leaves A'A, and so every RSS, unchanged and makes R square
         a = np.concatenate([a, np.zeros(a.shape[:-2] + (1, k))], axis=-2)
-    norms, s, vh, rank = _scaled_spectrum(np.linalg.qr(a, mode="r"))
+    norms, _, s, vh, rank = _scaled_spectrum(np.linalg.qr(a, mode="r"))
     kept = np.arange(k) < rank[..., None]
     weights = vh * vh
     inverse = np.divide(1.0, s * s, out=np.zeros_like(s), where=kept)
@@ -174,7 +174,9 @@ def solve_least_squares(A, b) -> LeastSquaresSolution:
     LeastSquaresSolution
         Full-rank systems are solved from the triangular factor and give
         the unique OLS estimator. A rank-deficient system is *flagged*
-        and solved via SVD for the minimum-norm coefficients instead.
+        and solved from the SVD that gave the rank, cut at that rank: the
+        residual is the reported rank's, and the coefficients times their
+        columns' lengths have the least norm.
 
     Raises
     ------
@@ -194,16 +196,17 @@ def solve_least_squares(A, b) -> LeastSquaresSolution:
         raise TooFewObservations(f"{n} observations for {k} design columns")
 
     Q, R = np.linalg.qr(A, mode="reduced")
-    rank = int(_scaled_spectrum(R)[3])
+    norms, u, s, vh, rank = _scaled_spectrum(R)
     if rank == k:
         coef = np.linalg.solve(R, Q.T @ b)
     else:
-        # Minimum-norm solution; rank is still reported from the test above.
-        coef, *_ = np.linalg.lstsq(A, b, rcond=None)
+        # R D^-1 = U S V' cut at the rank r: D x = V_r S_r^-1 U_r' Q'b
+        scaled = vh[:rank].T @ ((u[:, :rank].T @ (Q.T @ b)) / s[:rank])
+        coef = scaled / np.where(norms > 0.0, norms, 1.0)
     residual_norm = float(np.linalg.norm(b - A @ coef))
     return LeastSquaresSolution(
         coefficients=coef,
-        rank=rank,
+        rank=int(rank),
         residual_norm=residual_norm,
-        rank_deficient=rank < k,
+        rank_deficient=bool(rank < k),
     )

@@ -14,6 +14,9 @@ Three design recipes:
 * ``nonessential`` - two near-constant columns ``base + noise``; VIFnc
   should fire while VIF stays quiet.
 
+``_KINDS`` declares each kind's width, diagnosed column and parameters
+(a scenario needs exactly those), ``_KEYS`` each config key's field and type.
+
 Each replication derives its own child seed from (master_seed, index), so
 results never depend on execution order. The replications' designs go into
 one stacked array: each column index is drawn for every replication in one
@@ -34,12 +37,18 @@ from .diagnostics import Thresholds, _Factor, _ratio_or_inf
 from .errors import ConfigError
 from .datasets import _derive_seeds, _normal_columns
 
-KINDS = ("independent", "essential", "nonessential")
+#: Per kind: regressor columns, the column diagnosed, and the config keys its recipe reads.
+_KINDS = {
+    "independent": (3, 0, ()),
+    "essential": (2, 1, ("lambda", "noise_sd")),
+    "nonessential": (2, 0, ("base", "noise_sd")),
+}
+KINDS = tuple(_KINDS)
 
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """A simulation scenario; ``lam``/``noise_sd``/``base`` apply per kind.
+    """A simulation scenario; a kind needs the parameters ``_KINDS`` lists and takes no other.
 
     ``lam`` is the slope of the essential near-relation (config key
     ``lambda``), ``noise_sd`` the disturbance scale of either structured
@@ -61,14 +70,14 @@ class ScenarioSpec:
             raise ValueError("need n >= 4")
         if self.replications < 1:
             raise ValueError("need replications >= 1")
-        if self.kind == "essential":
-            if self.lam is None or self.noise_sd is None:
-                raise ValueError("essential scenario needs lambda and noise_sd")
-        if self.kind == "nonessential":
-            if self.base is None or self.noise_sd is None:
-                raise ValueError("nonessential scenario needs base and noise_sd")
         # named by their config keys, so a ConfigError points at the line to fix
-        for key, value in (("lambda", self.lam), ("noise_sd", self.noise_sd), ("base", self.base)):
+        parameters = {"lambda": self.lam, "noise_sd": self.noise_sd, "base": self.base}
+        reads = _KINDS[self.kind][2]
+        if any(parameters[key] is None for key in reads):
+            raise ValueError(f"{self.kind} scenario needs {' and '.join(reads)}")
+        for key, value in parameters.items():
+            if value is not None and key not in reads:
+                raise ValueError(f"{self.kind} scenario takes no {key}")
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{key} must be finite, got {value!r}")
         if self.noise_sd is not None and not self.noise_sd > 0:
@@ -105,11 +114,6 @@ class MonteCarloSummary:
     vifnc_stats: DiagnosticStats
     vif_exceedance: float
     vifnc_exceedance: float
-
-
-#: Regressor columns per kind, and the column diagnosed.
-_WIDTH = {"independent": 3, "essential": 2, "nonessential": 2}
-_DESIGNATED = {"independent": 0, "essential": 1, "nonessential": 0}
 
 
 def _generate(spec: ScenarioSpec, seeds: np.ndarray, out: np.ndarray) -> None:
@@ -165,10 +169,11 @@ def run_scenario(spec: ScenarioSpec, thresholds: Thresholds = Thresholds()) -> M
     failures are disclosed in ``n_failed`` and excluded from the
     percentiles.
     """
-    x = np.empty((spec.replications, spec.n, _WIDTH[spec.kind]))
+    width, j, _ = _KINDS[spec.kind]
+    x = np.empty((spec.replications, spec.n, width))
     seeds = _derive_seeds(spec.master_seed, np.arange(spec.replications, dtype=np.uint64))
     _generate(spec, seeds, x)
-    factor, columns, j = _Factor(x), range(x.shape[-1]), _DESIGNATED[spec.kind]
+    factor, columns = _Factor(x), range(width)
     # a constant or zero column has RSS 0 and so reads inf, like a perfect fit
     varr = _ratio_or_inf(factor.tss_c[:, j], factor.rss(columns, centered=True)[0][:, 1 + j])
     warr = _ratio_or_inf(factor.xtx[:, j], factor.rss(columns, centered=False)[0][:, j])
@@ -189,20 +194,32 @@ def run_scenario(spec: ScenarioSpec, thresholds: Thresholds = Thresholds()) -> M
 # ---------------------------------------------------------------------------
 # Scenario configuration files: flat "key = value" lines, '#' comments.
 
-_SCENARIO_KEYS = {"kind", "n", "replications", "master_seed", "lambda", "noise_sd", "base"}
-_THRESHOLD_KEYS = {"vif_threshold", "vifnc_threshold"}
+#: Each config key: the class it configures, the field it sets there, and its type.
+_KEYS = {
+    "kind": (ScenarioSpec, "kind", str),
+    "n": (ScenarioSpec, "n", int),
+    "replications": (ScenarioSpec, "replications", int),
+    "master_seed": (ScenarioSpec, "master_seed", int),
+    "lambda": (ScenarioSpec, "lam", float),
+    "noise_sd": (ScenarioSpec, "noise_sd", float),
+    "base": (ScenarioSpec, "base", float),
+    "vif_threshold": (Thresholds, "vif", float),
+    "vifnc_threshold": (Thresholds, "vifnc", float),
+}
 _REQUIRED_KEYS = ("kind", "n", "replications", "master_seed")
+_EXPECTED = {int: "an integer", float: "a number"}
 
 
 def parse_scenario_config(text: str) -> tuple[ScenarioSpec, Thresholds]:
     """Parse the flat key-value scenario format.
 
-    Recognized keys: kind, n, replications, master_seed, lambda,
-    noise_sd, base, vif_threshold, vifnc_threshold. Anything else, any
-    missing required key, or an unparseable value raises
-    :class:`ConfigError` naming the key.
+    Recognized keys: those of ``_KEYS``, each read as the type it has
+    there; a threshold not given keeps its ``Thresholds`` default. An
+    unknown, duplicate or missing required key, an unparseable value, or a
+    parameter the kind does not read raises :class:`ConfigError` naming
+    the key.
     """
-    entries: dict[str, str] = {}
+    given: dict[type, dict[str, object]] = {ScenarioSpec: {}, Thresholds: {}}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -210,47 +227,23 @@ def parse_scenario_config(text: str) -> tuple[ScenarioSpec, Thresholds]:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _SCENARIO_KEYS | _THRESHOLD_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"unknown key {key!r}")
-        if key in entries:
+        cls, field, convert = _KEYS[key]
+        if field in given[cls]:
             raise ConfigError(f"duplicate key {key!r}")
-        entries[key] = value
+        try:
+            given[cls][field] = convert(value)
+        except ValueError:
+            raise ConfigError(f"key {key!r} must be {_EXPECTED[convert]}, got {value!r}") from None
 
     for key in _REQUIRED_KEYS:
-        if key not in entries:
+        if _KEYS[key][1] not in given[ScenarioSpec]:
             raise ConfigError(f"missing key {key!r}")
-
-    def as_int(key: str) -> int:
-        try:
-            return int(entries[key])
-        except ValueError:
-            raise ConfigError(f"key {key!r} must be an integer, got {entries[key]!r}") from None
-
-    def as_float(key: str) -> float | None:
-        if key not in entries:
-            return None
-        try:
-            return float(entries[key])
-        except ValueError:
-            raise ConfigError(f"key {key!r} must be a number, got {entries[key]!r}") from None
-
     try:
-        spec = ScenarioSpec(
-            kind=entries["kind"],
-            n=as_int("n"),
-            replications=as_int("replications"),
-            master_seed=as_int("master_seed"),
-            lam=as_float("lambda"),
-            noise_sd=as_float("noise_sd"),
-            base=as_float("base"),
-        )
-        thresholds = Thresholds(
-            vif=as_float("vif_threshold") if "vif_threshold" in entries else 10.0,
-            vifnc=as_float("vifnc_threshold") if "vifnc_threshold" in entries else 10.0,
-        )
+        return ScenarioSpec(**given[ScenarioSpec]), Thresholds(**given[Thresholds])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return spec, thresholds
 
 
 def load_scenario_config(path: str | Path) -> tuple[ScenarioSpec, Thresholds]:

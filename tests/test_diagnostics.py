@@ -324,6 +324,16 @@ class TestInterceptTrick:
         with pytest.raises(ValueError):
             intercept_trick(data, ["c1", "c2", "x"])
 
+    def test_ones_column_is_every_entry_one(self):
+        # the factor's constant flag and mean find it: one ulp off is no ones column
+        near = np.ones(20)
+        near[7] = np.nextafter(1.0, 2.0)
+        data = DataMatrix.from_columns(
+            {"near": near, "half": np.full(20, 0.5), "x": np.arange(20.0)}
+        )
+        with pytest.raises(NoConstantColumn):
+            intercept_trick(data, ["near", "half", "x"])
+
 
 class TestFullReport:
     def test_belsley_three_var_rows(self, belsley_data):
@@ -381,6 +391,16 @@ class TestFullReport:
         assert ones_row.nonessential_term is None
         assert ones_row.vifnc == pytest.approx(400031.4, rel=5e-3)
         assert ones_row.nonessential_suspect
+
+    def test_constant_column_reads_its_own_value(self):
+        # x.mean() of twenty 0.1 entries is 0.10000000000000002, which would give a
+        # centered TSS of ~1e-33 and a CV of 1.4e-16; the column's value gives 0 exactly
+        rng = np.random.default_rng(0)
+        data = DataMatrix.from_columns(
+            {"y": rng.normal(size=20), "a": rng.normal(size=20), "c": np.full(20, 0.1)}
+        )
+        row = full_report(data, ModelSpec("y", ("a", "c"), intercept=False)).rows[1]
+        assert (row.mean, row.coef_variation, row.vif) == (0.1, 0.0, None)
 
     def test_needs_two_regressors(self, belsley_data):
         with pytest.raises(ValueError):

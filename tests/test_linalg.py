@@ -54,14 +54,23 @@ def test_residual_orthogonality():
 def test_rank_deficiency_flagged_not_fatal():
     rng = np.random.default_rng(3)
     base = rng.normal(size=(12, 2))
-    A = np.column_stack([base, base[:, 0]])  # third column repeats the first
-    b = rng.normal(size=12)
-    sol = solve_least_squares(A, b)
-    assert sol.rank == 2
-    assert sol.rank_deficient
-    # still a least-squares solution: residual matches the reduced problem
-    reduced = solve_least_squares(base, b)
-    assert sol.residual_norm == pytest.approx(reduced.residual_norm, rel=1e-10)
+    a, c = rng.normal(size=(2, 20))
+    cases = [
+        # third column repeats the first
+        (np.column_stack([base, base[:, 0]]), base),
+        # a column small in its units but not in direction: the rank keeps it, so
+        # the solve must too, where an unscaled cut of the SVD would drop it
+        (np.column_stack([a, 2.0 * a, 3e-15 * c]), np.column_stack([a, 3e-15 * c])),
+    ]
+    for A, kept in cases:
+        b = rng.normal(size=A.shape[0])
+        sol = solve_least_squares(A, b)
+        assert sol.rank == 2
+        assert sol.rank_deficient
+        # still a least-squares solution: residual matches the reduced problem
+        reduced = solve_least_squares(kept, b)
+        assert not reduced.rank_deficient
+        assert sol.residual_norm == pytest.approx(reduced.residual_norm, rel=1e-10)
 
 
 def test_rank_does_not_depend_on_the_units_of_a_column():

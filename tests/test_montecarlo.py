@@ -237,6 +237,7 @@ vifnc_threshold = 30
         with pytest.raises(ConfigError, match="line 1"):
             parse_scenario_config("this is not a key value pair\n")
 
+    INDEPENDENT = "kind = independent\nn = 20\nreplications = 5\nmaster_seed = 1\n"
     ESSENTIAL = "kind = essential\nn = 20\nreplications = 5\nmaster_seed = 1\n"
     NONESSENTIAL = "kind = nonessential\nn = 20\nreplications = 5\nmaster_seed = 1\n"
 
@@ -257,3 +258,55 @@ vifnc_threshold = 30
     def test_noise_variance_out_of_range_named(self, noise_sd):
         with pytest.raises(ConfigError, match="noise_sd"):
             parse_scenario_config(self.ESSENTIAL + f"lambda = 1\nnoise_sd = {noise_sd}\n")
+
+    #: The parameters each kind's recipe reads; a kind takes no other.
+    READS = {
+        "independent": (),
+        "essential": ("lambda", "noise_sd"),
+        "nonessential": ("base", "noise_sd"),
+    }
+
+    @pytest.mark.parametrize(
+        "kind, key",
+        [
+            (kind, key)
+            for kind, reads in READS.items()
+            for key in ("lambda", "noise_sd", "base")
+            if key not in reads
+        ],
+    )
+    def test_parameter_the_kind_does_not_read_named(self, kind, key):
+        text = self.INDEPENDENT.replace("independent", kind)
+        text += "".join(f"{read} = 1\n" for read in self.READS[kind])
+        parse_scenario_config(text)
+        with pytest.raises(ConfigError, match=f"^{kind} scenario takes no {key}$"):
+            parse_scenario_config(text + f"{key} = 2\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (INDEPENDENT.replace("master_seed = 1\n", ""), "missing key 'master_seed'"),
+            (GOOD + "replication_count = 3\n", "unknown key 'replication_count'"),
+            (GOOD + "kind = independent\n", "duplicate key 'kind'"),
+            ("x\n", "line 1: expected 'key = value', got 'x'"),
+            (INDEPENDENT.replace("n = 20", "n = lots"), "key 'n' must be an integer, got 'lots'"),
+            (GOOD.replace("30", "high"), "key 'vifnc_threshold' must be a number, got 'high'"),
+            (ESSENTIAL + "lambda = 1\n", "essential scenario needs lambda and noise_sd"),
+            (NONESSENTIAL + "noise_sd = 1\n", "nonessential scenario needs base and noise_sd"),
+            (
+                INDEPENDENT.replace("independent", "bogus"),
+                "kind must be one of ('independent', 'essential', 'nonessential'), got 'bogus'",
+            ),
+            (INDEPENDENT.replace("n = 20", "n = 3"), "need n >= 4"),
+            (ESSENTIAL + "lambda = 1\nnoise_sd = -1\n", "noise_sd must be positive"),
+            (GOOD.replace("30", "nan"), "vifnc_threshold must be a number or inf, got nan"),
+        ],
+        ids=[
+            "missing", "unknown", "duplicate", "malformed", "integer", "number",
+            "essential-needs", "nonessential-needs", "kind", "n", "noise_sd", "threshold",
+        ],
+    )
+    def test_single_fault_message(self, text, message):
+        with pytest.raises(ConfigError) as error:
+            parse_scenario_config(text)
+        assert str(error.value) == message
