@@ -20,6 +20,7 @@ for bit equal to stepping the scalar :class:`SplitMix64` one call at a time.
 
 from __future__ import annotations
 
+import cmath
 import codecs
 import csv
 import io
@@ -379,10 +380,14 @@ def _normal_columns(seeds: np.ndarray, n: int, mean: float, variance: float) -> 
     Row s is bit-equal to the scalar stream of ``seeds[s]``: the states
     ``seed + j*gamma`` for j = 1..2*ceil(n/2) are mixed, u1 and u2 are the
     odd and even steps, and every float operation is the scalar one in the
-    same order. ``log``, ``cos`` and ``sin`` go through ``math`` per
-    element, because NumPy's vectorized versions may differ from the C
-    library in the last bit; ``np.sqrt`` is correctly rounded, as is
-    ``math.sqrt``.
+    same order. ``log`` goes through ``math`` per element, because NumPy's
+    vectorized version may differ from the C library in the last bit;
+    ``np.sqrt`` is correctly rounded, as is ``math.sqrt``. Each pair's
+    cosine and sine variates come from one ``cmath.rect(r, theta)``, which
+    for finite ``theta != 0`` is ``(r*cos(theta), r*sin(theta))`` with the
+    C library's ``cos`` and ``sin`` and each product rounded once, so
+    ``mean + rect`` read as float pairs is the two variates, interleaved
+    in their draw order. ``theta`` is at least ``2*pi*2**-53``, never 0.
     """
     pairs = (n + 1) // 2
     steps = np.arange(1, 2 * pairs + 1, dtype=np.uint64)
@@ -394,13 +399,11 @@ def _normal_columns(seeds: np.ndarray, n: int, mean: float, variance: float) -> 
     radius = np.sqrt(-2.0 * _libm(math.log, u1))
     theta = 2.0 * math.pi * u2
     scaled = math.sqrt(variance) * radius
-    out = np.empty((seeds.size, n))
-    out[:, 0::2] = mean + scaled * _libm(math.cos, theta)
-    out[:, 1::2] = mean + scaled[:, : n // 2] * _libm(math.sin, theta[:, : n // 2])
-    return out
+    polar = _libm(cmath.rect, scaled, theta, dtype=np.complex128)
+    return mean + polar.view(np.float64)[:, :n]
 
 
-def _libm(func, values: np.ndarray) -> np.ndarray:
-    """``func`` from ``math`` applied to every element of ``values``."""
-    flat = map(func, values.ravel().tolist())
-    return np.fromiter(flat, np.float64, values.size).reshape(values.shape)
+def _libm(func, *arrays: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """``func`` from ``math`` or ``cmath`` applied to the elements of ``arrays`` in step."""
+    flat = map(func, *(values.ravel().tolist() for values in arrays))
+    return np.fromiter(flat, dtype, arrays[0].size).reshape(arrays[0].shape)

@@ -8,8 +8,11 @@ constant included once it is passed explicitly ("non-essential").
 
 No auxiliary regression is refitted. Every auxiliary RSS comes from one
 kernel, :func:`vifnc.linalg.aux_rss`: one Householder factor of the design,
-the SVD of that factor with unit-length columns, and
-``RSS_j = 1 / [(A'A)^+]_jj`` over the numerically nonzero singular values.
+and ``RSS_j = 1 / [(A'A)^-1]_jj`` read off the inverse of that factor with
+unit-length columns. Only where that factor's Frobenius condition reaches
+``1e-3 / SCALED_RANK_RTOL``, which bounds its spectral condition, does the
+kernel take its SVD and read ``1 / [(A'A)^+]_jj`` over the numerically
+nonzero singular values; below it the SVD would find full rank too.
 A column with weight in the numerical null space gets RSS 0, which every
 ratio turns into ``math.inf`` in that column's row only; ``full_report``
 never raises on a singular design.

@@ -9,7 +9,11 @@ replication targets depend on.
 
 The solver and the kernel read the numerical rank the same way: from the
 SVD of the triangular factor with unit-length columns, cut at
-:data:`SCALED_RANK_RTOL`, so a column's units never move it.
+:data:`SCALED_RANK_RTOL`, so a column's units never move it. The kernel
+takes that SVD only for a design whose Frobenius condition, read off the
+inverse of the same factor, is not below ``1e-3 / SCALED_RANK_RTOL``;
+since it bounds the spectral condition, every other design has full rank
+on the SVD as well and reads its RSS off the inverse (see :func:`aux_rss`).
 """
 
 from __future__ import annotations
@@ -72,15 +76,62 @@ def as_vector(b, name: str = "vector") -> np.ndarray:
     return arr
 
 
+def _unit_columns(r: np.ndarray):
+    """Column norms of ``r`` and ``r`` with unit-length columns; a zero column stays zero."""
+    norms = np.linalg.norm(r, axis=-2)
+    return norms, r / np.where(norms > 0.0, norms, 1.0)[..., None, :]
+
+
 def _scaled_spectrum(r: np.ndarray):
     """Column norms of ``r``, the SVD ``U, s, V'`` of ``r`` with unit-length columns, and its rank.
 
     The rank counts singular values above :data:`SCALED_RANK_RTOL` times
     the largest. A zero column stays zero instead of being divided by its norm.
     """
-    norms = np.linalg.norm(r, axis=-2)
-    u, s, vh = np.linalg.svd(r / np.where(norms > 0.0, norms, 1.0)[..., None, :])
+    norms, unit = _unit_columns(r)
+    u, s, vh = np.linalg.svd(unit)
     return norms, u, s, vh, np.count_nonzero(s > SCALED_RANK_RTOL * s[..., :1], axis=-1)
+
+
+#: :func:`aux_rss` takes the SVD route for a design whose Frobenius condition
+#: with unit-length columns is not below this bound. Under it, the smallest
+#: singular value is at least 1,000 times the rank cut.
+_INVERSE_KAPPA = 1e-3 / SCALED_RANK_RTOL
+
+
+def _inverse_rss(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """RSS off the inverse of the triangular ``r`` with unit-length columns, and its condition.
+
+    With ``U = R D^-1``, ``g_j = [(U'U)^-1]_jj`` is the squared norm of row
+    j of ``U^-1``, taken by one back-substitution over the stack, and
+    ``RSS_j = d_j^2 / g_j``. The condition is Frobenius',
+    ``||U||_F ||U^-1||_F = sqrt(k * sum_j g_j)``. A singular ``U`` (a zero
+    column, an exact relation) gives inf or NaN there, without a warning.
+    """
+    norms, unit = _unit_columns(r)
+    k = r.shape[-1]
+    inverse = np.zeros_like(unit)
+    identity = np.eye(k)
+    with np.errstate(all="ignore"):
+        for i in range(k - 1, -1, -1):
+            # row i of U^-1 from the rows below it, summed elementwise rather than by
+            # matmul, so a design sums in the same order in a stack as alone
+            done = (unit[..., i, i + 1 :, None] * inverse[..., i + 1 :, i:]).sum(axis=-2)
+            inverse[..., i, i:] = (identity[i, i:] - done) / unit[..., i, i, None]
+        g = (inverse * inverse).sum(axis=-1)
+        return norms * norms / g, np.sqrt(k * g.sum(axis=-1))
+
+
+def _spectral_rss(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """RSS and numerical rank off the SVD of ``r`` with unit-length columns; see :func:`aux_rss`."""
+    norms, _, s, vh, rank = _scaled_spectrum(r)
+    kept = np.arange(r.shape[-1]) < rank[..., None]
+    weights = vh * vh
+    inverse = np.divide(1.0, s * s, out=np.zeros_like(s), where=kept)
+    g = (inverse[..., None] * weights).sum(axis=-2)
+    null = (~kept[..., None] * weights).sum(axis=-2)
+    real = null > (SCALED_RANK_RTOL * s[..., :1]) ** 2 * g
+    return np.divide(norms * norms, g, out=np.zeros_like(g), where=~real), rank
 
 
 def aux_rss(design) -> tuple[np.ndarray, np.ndarray]:
@@ -93,17 +144,34 @@ def aux_rss(design) -> tuple[np.ndarray, np.ndarray]:
     that design's RSS. No regression is fitted:
 
     1. Householder R of the design (its singular values are the design's).
-    2. Columns of R scaled to unit length (the design's column norms),
-       then the SVD ``R D^-1 = U S V'``. The scaling makes the rank test
-       and the weights below independent of the columns' units (Belsley,
-       Kuh & Welsch 1980, ch. 3).
-    3. The numerical rank r counts singular values above
-       :data:`SCALED_RANK_RTOL` times the largest.
-    4. ``RSS_j = d_j^2 / g_j`` with ``g_j = sum_{i<=r} V_ji^2 / s_i^2``,
-       the diagonal of the pseudo-inverse of the scaled Gram matrix; d_j
-       puts it back in the units of column j. A column with weight in the
-       numerical null space reads 0: it is an exact combination of the
-       others.
+    2. Columns of R scaled to unit length (the design's column norms d),
+       ``U = R D^-1``. The scaling makes the rank test and the weights
+       below independent of the columns' units (Belsley, Kuh & Welsch
+       1980, ch. 3).
+    3. Inverse route, for every design. ``U`` is triangular, so one
+       back-substitution gives ``U^-1``; ``g_j``, the squared norm of its
+       row j, is ``[(U'U)^-1]_jj``, and ``RSS_j = d_j^2 / g_j``. It also
+       gives the Frobenius condition ``kappa_F = sqrt(k * sum_j g_j)``.
+    4. SVD route, only for the designs with ``kappa_F`` not below
+       ``1e-3 / SCALED_RANK_RTOL`` (1e10), or not finite: the SVD
+       ``U = W S V'``, the numerical rank r counting singular values
+       above :data:`SCALED_RANK_RTOL` times the largest, and
+       ``g_j = sum_{i<=r} V_ji^2 / s_i^2``, the diagonal of the
+       pseudo-inverse of the scaled Gram matrix. A column with weight in
+       the numerical null space reads 0: it is an exact combination of
+       the others.
+
+    The guard keeps the routes' verdicts equal. ``s_1 / s_k = kappa_2 <=
+    kappa_F``, so under the guard the smallest singular value is above
+    1e-10 of the largest, 1,000 times the rank cut, and the SVD route
+    would find rank k and weigh no column as null: its RSS is the same
+    ``d_j^2 / g_j``, and the routes differ only by rounding. The factor
+    1,000 covers the rounding of both the computed ``kappa_F`` (relative
+    error about k eps kappa_F, under 1e-5) and the computed singular
+    values (about eps s_1 each). Each design of a stack takes its route
+    alone, so a design reads the same bits in a stack as by itself. A
+    zero column or an exact relation makes ``U^-1`` inf or NaN, which
+    fails the guard.
 
     The null-space weight of column j is ``w_j = sum_{i>r} V_ji^2``.
     Rounding perturbs the factor by about ``eps * s_1``, which turns the
@@ -143,15 +211,13 @@ def aux_rss(design) -> tuple[np.ndarray, np.ndarray]:
     if n < k:
         # a zero row leaves A'A, and so every RSS, unchanged and makes R square
         a = np.concatenate([a, np.zeros(a.shape[:-2] + (1, k))], axis=-2)
-    norms, _, s, vh, rank = _scaled_spectrum(np.linalg.qr(a, mode="r"))
-    kept = np.arange(k) < rank[..., None]
-    weights = vh * vh
-    inverse = np.divide(1.0, s * s, out=np.zeros_like(s), where=kept)
-    g = (inverse[..., None] * weights).sum(axis=-2)
-    null = (~kept[..., None] * weights).sum(axis=-2)
-    real = null > (SCALED_RANK_RTOL * s[..., :1]) ** 2 * g
-    rss = np.divide(norms * norms, g, out=np.zeros_like(g), where=~real)
-    return rss, rank
+    r = np.linalg.qr(a, mode="r")
+    rss, kappa = _inverse_rss(r)
+    rank = np.full(kappa.shape, k)
+    spectral = ~(kappa < _INVERSE_KAPPA)  # a NaN condition fails the guard too
+    if spectral.any():
+        rss[spectral], rank[spectral] = _spectral_rss(r[spectral])
+    return rss, rank[()]  # a scalar for one design
 
 
 def solve_least_squares(A, b) -> LeastSquaresSolution:

@@ -1,10 +1,12 @@
 """The auxiliary-RSS kernel against a 50-digit projection, across a conditioning sweep.
 
 ``aux_rss`` reads the RSS of every column on all the others off one QR
-factor and the SVD of that factor with unit-length columns. The reference
-here projects each column on the span of the others by twice-iterated
-modified Gram-Schmidt in 50-digit ``mpmath`` arithmetic, dropping a column
-whose residual is below 1e-30 of its norm (an exact relation).
+factor with unit-length columns: off its inverse where the factor's
+Frobenius condition is under the guard (``_INVERSE_KAPPA``, 1e10), off
+its SVD elsewhere. The reference here projects each column on the span
+of the others by twice-iterated modified Gram-Schmidt in 50-digit
+``mpmath`` arithmetic, dropping a column whose residual is below 1e-30
+of its norm (an exact relation).
 
 The sweep draws n from 8 to 30 and k from 3 to 6, scales each column by
 10^U(-6, 6), and plants one relation among the columns:
@@ -28,17 +30,30 @@ and bounds: on the direct route ``aux_rss(X)``; on the factor route
 VIFnc and report row reads the kernel: X sits among three extra columns
 of mixed scale, in shuffled order, in a DataMatrix D, and its RSS come
 from ``aux_rss(R[:, S])`` with R the factor of ``[1, D]`` and S the
-positions of X's columns in D.
+positions of X's columns in D. Each design is also checked on the two
+private routes of the kernel alone, on R of X: the SVD route
+(``_spectral_rss``) on every design, and the inverse route
+(``_inverse_rss``) on every design under the guard. Such a design must
+hold no relation the rank cut would remove, and the SVD route must give
+it rank k and no zero RSS as well. Of the 63 designs here, the 20 near
+relations at condition 1e2 .. 1e8 are under the guard (computed
+``kappa_F`` at most 1.7 times the condition), and the rest are above it
+(2.4e10 at the least, 6e15 beside an exact relation).
 
 Tolerance. A backward-stable route gets an RSS to about eps times the
-condition of the kept part of the spectrum. Over 340 designs from these
-generators, the 63 of this file among them, the worst error on the direct
-and the factor route was 1.6 and 2.3 eps * cond where every relation was
-kept, 2.0 and 2.5 eps * cond beside an exact relation, and 4.4 and 4.8
-eps * cond where a near relation at 1e14 was cut. An earlier 350-design
+condition of the kept part of the spectrum. While the kernel took the
+SVD of every design, over 340 designs from these generators, the 63 of
+this file among them, the worst error on the direct and the factor route
+was 1.6 and 2.3 eps * cond where every relation was kept, 2.0 and 2.5
+eps * cond beside an exact relation, and 4.4 and 4.8 eps * cond where a
+near relation at 1e14 was cut. An earlier 350-design
 run of the direct route reached 2.1, 7.4 and 11.5 eps * cond. On the
 subset route, 315 designs of these generators (the 63 among them) gave
-at most 6.3, 12.0 and 9.0 eps * cond in the same three classes.
+at most 6.3, 12.0 and 9.0 eps * cond in the same three classes. On the
+private routes, 495 designs (the 63 among them) gave at most 0.89 eps *
+cond on the inverse route (the 180 under the guard, all with every
+relation kept) and 4.8, 3.9 and 7.1 eps * cond on the SVD route in the
+three classes.
 TOL_FACTOR = 100 leaves an 8x margin over the worst of these; a defect
 such as a missing rescale or a wrong null-weight rule moves an RSS by
 orders of magnitude or to 0.
@@ -61,7 +76,13 @@ import pytest
 from vifnc import DataMatrix
 from vifnc.diagnostics import _factor
 from vifnc.errors import TooFewObservations
-from vifnc.linalg import SCALED_RANK_RTOL, aux_rss
+from vifnc.linalg import (
+    _INVERSE_KAPPA,
+    SCALED_RANK_RTOL,
+    _inverse_rss,
+    _spectral_rss,
+    aux_rss,
+)
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -171,7 +192,17 @@ def subset_route(X):
     return _factor(data).rss(np.argsort(order)[:k].tolist(), centered=False)
 
 
-ROUTES = {"direct": aux_rss, "factor": factor_route, "subset": subset_route}
+def spectral_route(X):
+    """The SVD route alone on R of X, whatever the guard would pick."""
+    return _spectral_rss(np.linalg.qr(X, mode="r"))
+
+
+ROUTES = {
+    "direct": aux_rss,
+    "factor": factor_route,
+    "subset": subset_route,
+    "spectral": spectral_route,
+}
 
 
 def check_against_reference(X, columns, zero):
@@ -185,6 +216,24 @@ def check_against_reference(X, columns, zero):
                 assert rss[j] == 0.0, f"{route}: column {j} of the relation reads {rss[j]!r}"
             else:
                 assert rss[j] == pytest.approx(reference[j], rel=bound), f"{route}: column {j}"
+    check_inverse_route(X, reference, zero)
+
+
+def check_inverse_route(X, reference, zero):
+    """The inverse route alone on R of X, for a design under the guard.
+
+    Such a design must have no relation to cut, match the reference, and
+    get rank k and no zero RSS on the SVD route as well.
+    """
+    r = np.linalg.qr(X, mode="r")
+    rss, kappa = _inverse_rss(r)
+    if not kappa < _INVERSE_KAPPA:
+        return
+    assert not zero, "a relation under the rank cut passed the guard"
+    k = X.shape[1]
+    assert rss == pytest.approx(reference, rel=TOL_FACTOR * EPS * kept_condition(X, k))
+    spectral, rank = _spectral_rss(r)
+    assert rank == k and np.all(spectral > 0.0)
 
 
 @pytest.mark.parametrize("log_cond", [2, 4, 6, 8, 10, 12, 14])
@@ -253,7 +302,31 @@ def test_stack_matches_one_design_at_a_time():
     for design, row, r in zip(stack, rss, rank):
         single, single_rank = aux_rss(design)
         assert single_rank == r
-        assert row == pytest.approx(single, rel=1e-14, abs=0.0)
+        assert row.tolist() == single.tolist()
+
+
+def test_stack_takes_each_route_design_by_design():
+    rng = np.random.default_rng(21)
+    stack = rng.normal(4.0, 4.0, (6, 15, 3))
+    relation = 0.5 * stack[:, :, 0] + stack[:, :, 1]
+    stack[1, :, 2] = relation[1] + 1e-6 * rng.normal(size=15)  # near relation under the guard
+    stack[2, :, 2] = relation[2] + 1e-11 * rng.normal(size=15)  # near relation above it, kept
+    stack[3, :, 2] = relation[3]  # exact relation
+    stack[4, :, 1] = 0.0  # zero column
+    r = np.linalg.qr(stack, mode="r")
+    inverse, kappa = _inverse_rss(r)
+    fast = kappa < _INVERSE_KAPPA
+    assert fast.tolist() == [True, True, False, False, False, True]
+    with np.errstate(all="raise"):
+        rss, rank = aux_rss(stack)
+        singles = [aux_rss(design) for design in stack]
+    assert rss[fast].tolist() == inverse[fast].tolist()
+    assert rss[~fast].tolist() == _spectral_rss(r[~fast])[0].tolist()
+    assert rank.tolist() == [3, 3, 3, 2, 2, 3]
+    assert rss[3].tolist() == [0.0, 0.0, 0.0] and rss[4, 1] == 0.0
+    for row, design_rank, (single, single_rank) in zip(rss, rank, singles):
+        assert single_rank == design_rank
+        assert row.tolist() == single.tolist()
 
 
 def test_rank_cut_follows_the_scaled_spectrum():

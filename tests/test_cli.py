@@ -426,20 +426,22 @@ class TestMontecarlo:
 
 # SHA-256 of `vifnc montecarlo` stdout for the shipped configs. The text
 # digests come from the per-replication scalar generator. The JSON and CSV
-# ones were taken again once `run_scenario` read the diagnostics' factor:
-# counts and exceedances stayed, VIF moved at most 2.5e-16 and VIFnc
-# 4.2e-14 relative.
+# ones were taken again once `run_scenario` read the diagnostics' factor
+# (counts and exceedances stayed, VIF moved at most 2.5e-16 and VIFnc
+# 4.2e-14 relative), and again once the kernel read full-rank designs off
+# the inverse of its factor (counts and exceedances stayed, every value
+# moved at most 1.4e-15 relative).
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "demos" / "configs"
 MONTECARLO_GOLDENS = [
     ("essential", "text", "16b986f47aa2d2635db9e4ec381c889323026505402bce97ff4f11c604c5922f"),
-    ("essential", "json", "f57d2081f4bfc3a01755736455aca2f28d77541afa5559e282832ff5e8befa23"),
-    ("essential", "csv", "94785aa0a3a9910b75e3bbfbdb8e3d95eba295ba2d85b5b6195dc63d9409a44a"),
+    ("essential", "json", "f587e5993f8707db25975d545c970bfbb67d9714c9e2f91015c7fc3b75da2e9c"),
+    ("essential", "csv", "7a819ec937694e1c6ad066c39ccd74a1bf8b6286a87c5d21ef3e5201c5dac043"),
     ("independent", "text", "f44c786d41049d90ff1dfcc2d592ab31b891429f2f33edbcd01172df6a316652"),
-    ("independent", "json", "854ca09b848e98cf8aa7adbaa7238c440ffc894b03159e874f4c12e830e59b1d"),
-    ("independent", "csv", "818fe992275f568ab143c48b8bb3ed97ad7e80f7bb5261e2daf2506b2a922adc"),
+    ("independent", "json", "01defe3a3aff8bae6b35fbddc8c22dfe68f5fbd4539c4fbe9e539f06ae832792"),
+    ("independent", "csv", "6a7bc0cb9de012ba099ec84736a7a801e92e7cf050aa7725352b972e94cf2f07"),
     ("nonessential", "text", "cb2fcc258b3783841f7a06e7648fa1c4c266d9cd440a8fc747c4d46fc38a3552"),
-    ("nonessential", "json", "aeaa6ec3104ada1f2f69c8bd33b527ffbf5fbef75dc6219165e7e9beb47cc7d1"),
-    ("nonessential", "csv", "00386e5b5e101796fbe38369785d15308e8f20054e0230e37a82cc77bb269700"),
+    ("nonessential", "json", "ab5d28255aa3124e8f40aa290fb52276eb81ab5fdf5657647307d5840bfa5805"),
+    ("nonessential", "csv", "9e82da1996448530dae2071c797be6c432528bc7b5e78f15dc5166cc0539152e"),
 ]
 
 
@@ -453,7 +455,10 @@ def test_shipped_config_output_is_byte_identical(config, fmt, digest, capsys):
 # SHA-256 of stdout for `diagnose`, `aux` and `replicate` in every format,
 # covering inf rows, NA rows and flags on both sides of a threshold. The
 # inputs are written into the working directory and named relatively,
-# because `diagnose` prints the path it was given.
+# because `diagnose` prints the path it was given. The JSON and CSV digests
+# of belsley*, constant and replicate were taken again once the kernel read
+# full-rank designs off the inverse of its factor: flags and verdicts
+# stayed, every diagnostic moved at most 1.3e-13 relative.
 CLI_CASES = {
     "belsley": ["diagnose", "belsley.csv", "--dependent", "y"],
     "belsley-no-intercept": ["diagnose", "belsley.csv", "--dependent", "y", "--no-intercept"],
@@ -471,20 +476,20 @@ CLI_CASES = {
 }
 CLI_GOLDENS = [
     ("belsley", "text", "f4860e6ac3f5ed5a05f4ff71236ad3573d509f881ae662fadbaef35563092097"),
-    ("belsley", "json", "fa13b8061b2d1e524b04f3f251130268bb1d5e1c79cfdfc5b95810448bfdb578"),
-    ("belsley", "csv", "6aab10bb81c386b5358a249233233c9bca5d1f17e0d1aa8fde4ef7bc3aa06cad"),
+    ("belsley", "json", "2f898eabc64d70872108c864b8099aee121fe60775696b6badedc9837892c1ae"),
+    ("belsley", "csv", "c1b10d4aec5b5e4bf2d631d2d8e933d561b86322a91e8fe2f252594d2273c5c1"),
     ("belsley-no-intercept", "text", "7df4bc17ed8f15dad5b133c5e058618c4e2415811c77d0ae96acf8445e3f4a76"),
-    ("belsley-no-intercept", "json", "33ec0730a5ac4f2705cd5fe1a6a1037584c96bfbec4575dc7de04af187ec6be4"),
-    ("belsley-no-intercept", "csv", "c17597402a748dcf0194c3f7bd702b58a85ee2b8df1c2baf0cea5d6c0d6d00ad"),
+    ("belsley-no-intercept", "json", "52e0c714804f12dc9ced8361aaa14f57b740d4ed41c1a8e657e6701d426829c8"),
+    ("belsley-no-intercept", "csv", "3e707ef257d5aa1f12604dbf51683efab87739869e8651236a107f7a2dc086cb"),
     ("belsley-threshold", "text", "e6979810ff80ad727c7ba9fe4f0ec8a7c45f08c62ab865bae4dd2f8206591df5"),
-    ("belsley-threshold", "json", "1005aff8e2c1784b168d0db3e8cbdf83053dcfa53b547e3485631a147838778f"),
-    ("belsley-threshold", "csv", "769e121e45a5dd4b5edf0296602d38891e93aff11edee4153e429cef3278954a"),
+    ("belsley-threshold", "json", "b11e27e973a070ed2b01354b6a201190acc680d9d4e8f05405ba8717b6e0d6cf"),
+    ("belsley-threshold", "csv", "ddc1bbf5224be6d3340356ecc8473d31633f9d7061090603fdddea9f28377f43"),
     ("collinear", "text", "b1b1951119d9b920d423a3229a315b8fd43d55a25acc1b4063d665d7ad39cf17"),
     ("collinear", "json", "4fc19e172f74aaaceeac5af92483a82f7ef1fd39dd2879be9f25ea6709baaca2"),
     ("collinear", "csv", "61b256b6f1b262e2198b1cab2dc080d13635fe640223ddf6ee110fa585d95a01"),
     ("constant", "text", "d719faf3c7660617b3d6dbca3d5b28ba114a0f0aec06b9ce274190b948c65d44"),
-    ("constant", "json", "c3d415bf739bbf2be24e05084d8f91ed7778866ff351ca41b4057f2f7afa630e"),
-    ("constant", "csv", "2c38419dfcd5856499b0b02e8bda11a8877a6c37848679412fe53618644174b0"),
+    ("constant", "json", "064746eb7ddfa914f850ca0acf446e52eb381f193be04211d1f4e35146c75dbd"),
+    ("constant", "csv", "79eac52ff18daf09570c3bed5e39dddc1e766cfae17590e232debfdd367a9f22"),
     ("aux-noncentered", "text", "261ed13024f618bffc5355c41177486e14a8b3f5e8ecc58c30d34ea351508d98"),
     ("aux-noncentered", "json", "03a60eda64a189ed39272f6b5c0623edabeb4bc9384787a524010e98737bac7a"),
     ("aux-noncentered", "csv", "9b93f419f58ae871fa0549f9fc99b89001c3684f64934d42a2a3a22db0c68ad7"),
@@ -492,8 +497,8 @@ CLI_GOLDENS = [
     ("aux-centered", "json", "15a98d9e175334968c679a2a150c6216e4456a4dddbea7fe3ac94d0d48b60a9b"),
     ("aux-centered", "csv", "6c8af126f15745c03da265a13b7952f9cfd4eeb84be7aca98f10f93348bf9254"),
     ("replicate", "text", "19f2226c0d7fb36c5ad1145056a0de2943859493e766d14ff150521b010f9e4a"),
-    ("replicate", "json", "30cdc50a2eb0554130ad0767edb1a88ab201be78c26d1b9a2ca90b8b7c598c13"),
-    ("replicate", "csv", "7275d6dbcb0c3e591374cdb95ae07eb1596585cc0eebecc65bde75ec6918cd29"),
+    ("replicate", "json", "0a850bc6d14d85527f97ec80e1679e761a5d750511803080d095fc667d5614f6"),
+    ("replicate", "csv", "b3ca881296686ea075ba1da8e179fb13ad3dc013b42d6020d601815ef91a54b5"),
 ]
 
 

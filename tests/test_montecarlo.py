@@ -54,6 +54,20 @@ class TestScenarioSpec:
         with pytest.raises(ValueError):
             ScenarioSpec(kind="independent", n=20, replications=0, master_seed=1)
 
+    @pytest.mark.parametrize("field", ["n", "replications"])
+    @pytest.mark.parametrize("value", [20.5, 20.0, "20"])
+    def test_sizes_must_be_integers(self, field, value):
+        sizes = {"n": 20, "replications": 5, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            ScenarioSpec(kind="independent", master_seed=1, **sizes)
+
+    def test_numpy_integer_sizes_are_accepted(self):
+        spec = ScenarioSpec(kind="independent", n=20, replications=3, master_seed=1)
+        numpy_sizes = ScenarioSpec(
+            kind="independent", n=np.int64(20), replications=np.int32(3), master_seed=1
+        )
+        assert run_scenario(numpy_sizes) == run_scenario(spec)
+
 
 class TestRunScenario:
     def test_bitwise_deterministic(self):
