@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vifnc import DataMatrix, belsley, load_csv, save_csv, to_csv
+from vifnc import DataMatrix, belsley, linalg, load_csv, save_csv, to_csv
 from vifnc.cli import main
 
 BELSLEY_CSV = to_csv(belsley())
@@ -443,10 +443,37 @@ MONTECARLO_GOLDENS = [
     ("nonessential", "json", "ab5d28255aa3124e8f40aa290fb52276eb81ab5fdf5657647307d5840bfa5805"),
     ("nonessential", "csv", "9e82da1996448530dae2071c797be6c432528bc7b5e78f15dc5166cc0539152e"),
 ]
+# The JSON and CSV digests pinned while every design took the SVD route.
+# With the guard of `aux_rss` shut, every design takes that route again and
+# the output must not move by a bit.
+MONTECARLO_SVD_GOLDENS = [
+    ("essential", "json", "f57d2081f4bfc3a01755736455aca2f28d77541afa5559e282832ff5e8befa23"),
+    ("essential", "csv", "94785aa0a3a9910b75e3bbfbdb8e3d95eba295ba2d85b5b6195dc63d9409a44a"),
+    ("independent", "json", "854ca09b848e98cf8aa7adbaa7238c440ffc894b03159e874f4c12e830e59b1d"),
+    ("independent", "csv", "818fe992275f568ab143c48b8bb3ed97ad7e80f7bb5261e2daf2506b2a922adc"),
+    ("nonessential", "json", "aeaa6ec3104ada1f2f69c8bd33b527ffbf5fbef75dc6219165e7e9beb47cc7d1"),
+    ("nonessential", "csv", "00386e5b5e101796fbe38369785d15308e8f20054e0230e37a82cc77bb269700"),
+]
 
 
-@pytest.mark.parametrize("config, fmt, digest", MONTECARLO_GOLDENS)
-def test_shipped_config_output_is_byte_identical(config, fmt, digest, capsys):
+def golden_params(goldens, svd_goldens):
+    """Each golden as a case with its guard open, then each SVD golden with it shut."""
+    return [pytest.param(*golden, False, id="-".join(golden)) for golden in goldens] + [
+        pytest.param(*golden, True, id="-".join(golden)) for golden in svd_goldens
+    ]
+
+
+def shut_inverse_route(monkeypatch):
+    """Send every design of `aux_rss` to the SVD route: no condition is below 0."""
+    monkeypatch.setattr(linalg, "_INVERSE_KAPPA", 0.0)
+
+
+@pytest.mark.parametrize(
+    "config, fmt, digest, svd_only", golden_params(MONTECARLO_GOLDENS, MONTECARLO_SVD_GOLDENS)
+)
+def test_shipped_config_output_is_byte_identical(config, fmt, digest, svd_only, capsys, monkeypatch):
+    if svd_only:
+        shut_inverse_route(monkeypatch)
     code, out, _ = run_cli(capsys, "montecarlo", str(CONFIG_DIR / f"{config}.cfg"), "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
@@ -500,6 +527,20 @@ CLI_GOLDENS = [
     ("replicate", "json", "0a850bc6d14d85527f97ec80e1679e761a5d750511803080d095fc667d5614f6"),
     ("replicate", "csv", "b3ca881296686ea075ba1da8e179fb13ad3dc013b42d6020d601815ef91a54b5"),
 ]
+# The JSON and CSV digests that moved with the inverse route, as pinned while
+# every design took the SVD route; checked with the guard shut.
+CLI_SVD_GOLDENS = [
+    ("belsley", "json", "fa13b8061b2d1e524b04f3f251130268bb1d5e1c79cfdfc5b95810448bfdb578"),
+    ("belsley", "csv", "6aab10bb81c386b5358a249233233c9bca5d1f17e0d1aa8fde4ef7bc3aa06cad"),
+    ("belsley-no-intercept", "json", "33ec0730a5ac4f2705cd5fe1a6a1037584c96bfbec4575dc7de04af187ec6be4"),
+    ("belsley-no-intercept", "csv", "c17597402a748dcf0194c3f7bd702b58a85ee2b8df1c2baf0cea5d6c0d6d00ad"),
+    ("belsley-threshold", "json", "1005aff8e2c1784b168d0db3e8cbdf83053dcfa53b547e3485631a147838778f"),
+    ("belsley-threshold", "csv", "769e121e45a5dd4b5edf0296602d38891e93aff11edee4153e429cef3278954a"),
+    ("constant", "json", "c3d415bf739bbf2be24e05084d8f91ed7778866ff351ca41b4057f2f7afa630e"),
+    ("constant", "csv", "2c38419dfcd5856499b0b02e8bda11a8877a6c37848679412fe53618644174b0"),
+    ("replicate", "json", "30cdc50a2eb0554130ad0767edb1a88ab201be78c26d1b9a2ca90b8b7c598c13"),
+    ("replicate", "csv", "7275d6dbcb0c3e591374cdb95ae07eb1596585cc0eebecc65bde75ec6918cd29"),
+]
 
 
 @pytest.fixture()
@@ -519,8 +560,10 @@ def golden_inputs(tmp_path, monkeypatch):
     save_csv(DataMatrix.from_columns(columns), tmp_path / "constant.csv")
 
 
-@pytest.mark.parametrize("case, fmt, digest", CLI_GOLDENS)
-def test_cli_output_is_byte_identical(case, fmt, digest, golden_inputs, capsys):
+@pytest.mark.parametrize("case, fmt, digest, svd_only", golden_params(CLI_GOLDENS, CLI_SVD_GOLDENS))
+def test_cli_output_is_byte_identical(case, fmt, digest, svd_only, golden_inputs, capsys, monkeypatch):
+    if svd_only:
+        shut_inverse_route(monkeypatch)
     code, out, _ = run_cli(capsys, *CLI_CASES[case], "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
