@@ -13,9 +13,9 @@ unit-length columns. Only where that factor's Frobenius condition reaches
 ``1e-3 / SCALED_RANK_RTOL``, which bounds its spectral condition, does the
 kernel take its SVD and read ``1 / [(A'A)^+]_jj`` over the numerically
 nonzero singular values; below it the SVD would find full rank too.
-A column with weight in the numerical null space gets RSS 0, which every
-ratio turns into ``math.inf`` in that column's row only; ``full_report``
-never raises on a singular design.
+Every ratio is plain ``TSS / RSS``, ``math.inf`` exactly where the kernel
+read RSS 0 (weight in the numerical null space, or a constant column's
+centered read) and in that column's row only.
 
 Every diagnostic reads one factor of its DataMatrix: R of ``[1, D] = QR``
 with D every column of the matrix, and each column's mean, ``x'x``,
@@ -38,7 +38,6 @@ regressor is the intercept trick. ``stewart_k2`` in a report row is
 Stewart's index of the fitted design minus column j, so it includes the
 intercept whenever the model has one: it equals ``vif + n*mean^2/RSS``
 exactly for intercept models and ``vifnc`` for through-origin ones.
-Perfect collinearity returns ``math.inf``, never raises.
 """
 
 from __future__ import annotations
@@ -54,11 +53,10 @@ from .errors import ConstantRegressor, NoConstantColumn, RankDeficient, ZeroColu
 from .linalg import aux_rss
 from .ols import INTERCEPT_NAME, DataMatrix, FitResult, ModelSpec, fit
 
-#: Auxiliary R-squared at or above 1 - DEFAULT_PERFECT_TOL, that is an RSS
-#: of at most this fraction of its total sum of squares, reads ``math.inf``.
-DEFAULT_PERFECT_TOL = 1e-12
 #: Bytes of one design's ``[1, D]`` that the factor takes at a time (see ``_Factor``).
 _FACTOR_BYTES = 1 << 20
+#: The Gram route's floor: :func:`stewart_index` reads ``inf`` at an RSS of at most this times x'x.
+_GRAM_FLOOR = 1e-12
 
 
 class AuxiliaryMode(enum.Enum):
@@ -157,10 +155,10 @@ def auxiliary_regression(
 
 
 def _ratio_or_inf(tss, rss) -> np.ndarray:
-    """``tss / rss`` elementwise, or ``inf`` once ``rss <= DEFAULT_PERFECT_TOL * tss``."""
+    """``tss / rss`` elementwise; ``inf`` where RSS is 0, or so small that the ratio overflows."""
     tss, rss = np.asarray(tss, dtype=float), np.asarray(rss, dtype=float)
-    perfect = rss <= DEFAULT_PERFECT_TOL * tss
-    return np.where(perfect, np.inf, tss / np.where(perfect, 1.0, rss))
+    with np.errstate(over="ignore"):
+        return np.where(rss == 0.0, np.inf, tss / np.where(rss == 0.0, 1.0, rss))
 
 
 def _term(vif: float, mean: float, n: int, rss: float) -> float:
@@ -290,9 +288,9 @@ def vif(
     Computed as 1/(1 - R2) of the centered auxiliary regression of j on
     the given regressors, evaluated as TSS_centered/RSS for stability.
 
-    Returns ``math.inf`` when the auxiliary R2 reaches 1 within
-    ``DEFAULT_PERFECT_TOL``; raises :class:`ConstantRegressor` when
-    column j is exactly constant.
+    Returns ``math.inf`` exactly where the kernel reads RSS 0 (j is an
+    exact combination of the regressors); raises
+    :class:`ConstantRegressor` when column j is exactly constant.
     """
     return _centered_on_others(data, j, regressors, "centered VIF")[0]
 
@@ -331,7 +329,9 @@ def stewart_index(
     The Gram system squares the condition number, so digits go as VIFnc
     grows: against a 50-digit reference the relative error is about
     3e-15 times VIFnc (2e-11 at VIFnc 1.3e4, 3.5e-5 at 1.2e10), where
-    :func:`vifnc` stays within 3e-11 up to VIFnc 2e10.
+    :func:`vifnc` stays within 3e-11 up to VIFnc 2e10. An exact relation cancels
+    the RSS, a difference, to rounding noise rather than to 0 (``x = 2 z1 - 3 z2``
+    read 1.5e15 to 9e15 on 120 of 300 draws), hence the floor :data:`_GRAM_FLOOR`.
     """
     others = data.matrix(_others(data, j, regressors))
     x = data.column(j)
@@ -345,7 +345,8 @@ def stewart_index(
     q = (others.T @ x) / d
     if np.linalg.matrix_rank(gram, hermitian=True) < gram.shape[0]:
         raise RankDeficient("cross-product matrix of the remaining columns is singular")
-    return float(_ratio_or_inf(tss, tss - float(q @ np.linalg.solve(gram, q))))
+    rss = tss - float(q @ np.linalg.solve(gram, q))
+    return math.inf if rss <= _GRAM_FLOOR * tss else tss / rss
 
 
 def stewart_decomposition(
@@ -447,9 +448,9 @@ def full_report(
 
     Every row comes from the matrix's one factor (see the module
     docstring), which ``variance_factors`` and the per-column functions
-    read as well. A singular design
-    gives ``inf`` rows, never an exception: a column with weight in the
-    numerical null space reads ``inf``, and the others keep their values.
+    read as well. A singular design gives ``inf`` rows, never an
+    exception: a column the kernel reads with RSS 0 reads ``inf``, and
+    the others keep their values.
 
     Raises :class:`ZeroColumn` for an identically zero regressor, and
     :class:`TooFewObservations` when a centered auxiliary regression has

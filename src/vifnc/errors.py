@@ -1,9 +1,9 @@
 """Exception hierarchy for the vifnc package.
 
 Every library error derives from :class:`VifncError` so callers can catch
-one base class. Perfect collinearity is deliberately *not* an exception:
-diagnostic functions return ``math.inf`` as a sentinel instead, so that a
-degenerate column never aborts a whole report.
+one base class. An exact relation is deliberately *not* an exception: a
+column the kernel reads with RSS 0 gets ``math.inf`` for its ratios
+instead, so that one such column never aborts a whole report.
 """
 
 

@@ -103,8 +103,8 @@ class DiagnosticStats:
 class MonteCarloSummary:
     """Distribution of both diagnostics over the successful replications.
 
-    ``n_failed`` counts replications whose diagnostics degenerated
-    (rank-deficient draw or perfect collinearity); they are disclosed,
+    ``n_failed`` counts replications whose diagnostics read ``inf``: a
+    draw whose diagnosed column the kernel reads with RSS 0. They are disclosed,
     never silently dropped from the denominator story: percentiles and
     exceedance rates are over the ``n_success`` successes.
     """
@@ -168,16 +168,15 @@ def run_scenario(spec: ScenarioSpec, thresholds: Thresholds = Thresholds()) -> M
 
     Only the structurally collinear column is diagnosed, which keeps the
     summary interpretable. A replication counts as failed when either
-    diagnostic degenerates (rank-deficient draw or perfect collinearity);
-    failures are disclosed in ``n_failed`` and excluded from the
-    percentiles.
+    diagnostic reads ``inf``: a draw whose diagnosed column the kernel
+    reads with RSS 0 (an exact relation, or a constant or zero column).
+    Failures are disclosed in ``n_failed`` and excluded from the percentiles.
     """
     width, j, _ = _KINDS[spec.kind]
     x = np.empty((spec.replications, spec.n, width))
     seeds = _derive_seeds(spec.master_seed, np.arange(spec.replications, dtype=np.uint64))
     _generate(spec, seeds, x)
     factor, columns = _Factor(x), range(width)
-    # a constant or zero column has RSS 0 and so reads inf, like a perfect fit
     varr = _ratio_or_inf(factor.tss_c[:, j], factor.rss(columns, centered=True)[0][:, 1 + j])
     warr = _ratio_or_inf(factor.xtx[:, j], factor.rss(columns, centered=False)[0][:, j])
     ok = np.isfinite(varr) & np.isfinite(warr)

@@ -237,7 +237,7 @@ def render_montecarlo(summary: MonteCarloSummary, fmt: OutputFormat = OutputForm
         f"thresholds: {_thresholds_line(summary.thresholds)}",
         "",
     ]
-    columns = [("", "{:<8}")] + [(key, "{:>12}") for key in stats["vif"]]
+    columns = [("", "{:<8}")] + [(key, " {:>12}") for key in stats["vif"]]
     lines += _emit_table(columns, ([name, *d.values()] for name, d in stats.items()))
     return "\n".join(lines) + "\n"
 

@@ -73,7 +73,7 @@ import zlib
 import numpy as np
 import pytest
 
-from vifnc import DataMatrix
+from vifnc import DataMatrix, ScenarioSpec, run_scenario, vifnc
 from vifnc.diagnostics import _factor
 from vifnc.errors import TooFewObservations
 from vifnc.linalg import (
@@ -83,6 +83,8 @@ from vifnc.linalg import (
     _spectral_rss,
     aux_rss,
 )
+
+from test_montecarlo import one_replication
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -347,3 +349,22 @@ def test_too_few_observations():
     assert rank == 2 and rss.tolist() == [0.0, 0.0, 0.0]
     with pytest.raises(TooFewObservations):
         aux_rss(rng.normal(size=(2, 4)))
+
+
+@pytest.mark.parametrize("noise_sd", [1e-6, 1e-7, 1e-9, 1e-11])
+def test_small_noise_monte_carlo_vifnc_matches_reference(noise_sd):
+    """Non-essential draws at VIFnc 5e11 .. 5e21 are finite and as exact as the sweep above.
+
+    Each draw is replication 0 of its own master seed, so the summary of a
+    one-replication ``run_scenario`` carries that replication's VIFnc.
+    """
+    for seed in range(5):
+        spec = ScenarioSpec(
+            kind="nonessential", n=20, replications=1, master_seed=seed, base=1.0, noise_sd=noise_sd
+        )
+        data, j = one_replication(spec, 0)
+        value = vifnc(data, j, [o for o in data.names if o != j])
+        assert run_scenario(spec).vifnc_stats.max == value
+        X, i = data.values, data.names.index(j)
+        expected = float(X[:, i] @ X[:, i]) / reference_rss([as_mp(c) for c in X.T])[i]
+        assert value == pytest.approx(expected, rel=TOL_FACTOR * EPS * kept_condition(X, 2))

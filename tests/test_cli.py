@@ -376,7 +376,8 @@ class TestMontecarlo:
         assert first == second
 
     def test_zero_successes_render_null_and_na(self, tmp_path, capsys):
-        # the relation is exact at DEFAULT_PERFECT_TOL, so every replication fails
+        # lambda * z swamps the noise: x falls under the kernel's rank cut, so every
+        # replication reads x with RSS 0 and fails
         config = tmp_path / "degenerate.cfg"
         config.write_text(
             "kind = essential\nn = 20\nreplications = 5\nmaster_seed = 1\n"
@@ -397,6 +398,20 @@ class TestMontecarlo:
         _, out, _ = run_cli(capsys, "montecarlo", str(config))
         for line in out.splitlines()[-2:]:
             assert line.split()[1:] == ["NA"] * 7
+
+    def test_wide_statistics_stay_separate_columns(self, tmp_path, capsys):
+        # VIF and VIFnc pass 1e7 here, where a 7-digit value fills its whole 12-character cell
+        config = tmp_path / "tight.cfg"
+        config.write_text(
+            "kind = essential\nn = 20\nreplications = 20\nmaster_seed = 7\n"
+            "lambda = 1\nnoise_sd = 1e-3\n",
+            encoding="utf-8",
+        )
+        code, out, _ = run_cli(capsys, "montecarlo", str(config))
+        assert code == 0
+        for line in out.splitlines()[-2:]:
+            assert len(line.split()) == 8, line
+            assert float(line.split()[-2]) >= 1e7
 
     def test_infinite_config_threshold_stays_standard_json(self, tmp_path, capsys):
         config = tmp_path / "scenario.cfg"
@@ -425,21 +440,22 @@ class TestMontecarlo:
 
 
 # SHA-256 of `vifnc montecarlo` stdout for the shipped configs. The text
-# digests come from the per-replication scalar generator. The JSON and CSV
-# ones were taken again once `run_scenario` read the diagnostics' factor
-# (counts and exceedances stayed, VIF moved at most 2.5e-16 and VIFnc
-# 4.2e-14 relative), and again once the kernel read full-rank designs off
-# the inverse of its factor (counts and exceedances stayed, every value
-# moved at most 1.4e-15 relative).
+# digests come from the per-replication scalar generator, taken again once
+# a space separated the table's columns (the same whitespace-split tokens).
+# The JSON and CSV ones were taken again once `run_scenario` read the
+# diagnostics' factor (counts and exceedances stayed, VIF moved at most
+# 2.5e-16 and VIFnc 4.2e-14 relative), and again once the kernel read
+# full-rank designs off the inverse of its factor (counts and exceedances
+# stayed, every value moved at most 1.4e-15 relative).
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "demos" / "configs"
 MONTECARLO_GOLDENS = [
-    ("essential", "text", "16b986f47aa2d2635db9e4ec381c889323026505402bce97ff4f11c604c5922f"),
+    ("essential", "text", "0afdabcc19aee8fc593b081b81caad50c27864cb0ca1ca85520ad4e68259456c"),
     ("essential", "json", "f587e5993f8707db25975d545c970bfbb67d9714c9e2f91015c7fc3b75da2e9c"),
     ("essential", "csv", "7a819ec937694e1c6ad066c39ccd74a1bf8b6286a87c5d21ef3e5201c5dac043"),
-    ("independent", "text", "f44c786d41049d90ff1dfcc2d592ab31b891429f2f33edbcd01172df6a316652"),
+    ("independent", "text", "c413d579e6af3fdca3aaa36ccaae5682033fd6f7c1d86d0f5d4654106ea107db"),
     ("independent", "json", "01defe3a3aff8bae6b35fbddc8c22dfe68f5fbd4539c4fbe9e539f06ae832792"),
     ("independent", "csv", "6a7bc0cb9de012ba099ec84736a7a801e92e7cf050aa7725352b972e94cf2f07"),
-    ("nonessential", "text", "cb2fcc258b3783841f7a06e7648fa1c4c266d9cd440a8fc747c4d46fc38a3552"),
+    ("nonessential", "text", "049eef4e2bf5dbf2d27cf464aed3e4cd29e488ef4206ea347203c4b2be22c9a8"),
     ("nonessential", "json", "ab5d28255aa3124e8f40aa290fb52276eb81ab5fdf5657647307d5840bfa5805"),
     ("nonessential", "csv", "9e82da1996448530dae2071c797be6c432528bc7b5e78f15dc5166cc0539152e"),
 ]

@@ -37,7 +37,6 @@ from vifnc import (
     vif,
     vifnc,
 )
-from vifnc.diagnostics import DEFAULT_PERFECT_TOL
 from vifnc.linalg import aux_rss
 
 from oracles import project_residual_rss
@@ -80,12 +79,10 @@ def assert_stewart_relation(report, n):
 
 
 def assert_ratio(value, tss, rss, rtol=RTOL):
-    """``value`` from the factor against ``tss / rss`` from another route, sentinel included."""
-    threshold = DEFAULT_PERFECT_TOL * tss
-    if math.isinf(value) != (rss <= threshold):
-        # the two routes may only straddle the sentinel right at its threshold
-        assert abs(rss - threshold) <= rtol * threshold
-    elif not math.isinf(value):
+    """``value`` from the factor against ``tss / rss`` from another route: ``inf`` exactly at RSS 0."""
+    if rss == 0.0:
+        assert math.isinf(value)
+    else:
         assert value == pytest.approx(tss / rss, rel=rtol)
 
 
@@ -178,8 +175,8 @@ def test_through_origin_variance_factors_match_the_kernel_on_x(seed, n, k, noise
     X, so it agrees with the kernel on X to a few eps times the condition
     of X with unit-length columns: 6,000 designs of this sweep gave at
     most 39 eps * cond on zero-mean columns (cond below 10) and 11 eps *
-    cond on the others, and every value that read ``inf`` read below the
-    sentinel on X as well.
+    cond on the others, and a value reads ``inf`` exactly where the kernel
+    on X reads RSS 0.
     The gap is within 1e-10 up to cond 4.5e3; above that (planted
     relations at noise 1e-3 and below, cond up to 6e7) the bound
     100 eps * cond takes over.

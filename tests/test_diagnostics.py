@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from vifnc import (
     vifnc,
 )
 from vifnc import diagnostics, montecarlo
-from vifnc.diagnostics import DEFAULT_PERFECT_TOL, _ratio_or_inf
+from vifnc.diagnostics import _ratio_or_inf
 from vifnc.errors import (
     ConstantRegressor,
     NoConstantColumn,
@@ -99,12 +100,15 @@ class TestVif:
         data = DataMatrix.from_columns({"x": x, "double": 2.0 * x, "z": np.sin(x)})
         assert math.isinf(vif(data, "x", ["double", "z"]))
 
-    def test_sentinel_triggers_exactly_at_tolerance(self):
-        tss = 3.0
-        at = DEFAULT_PERFECT_TOL * tss
-        above = np.nextafter(at, np.inf)
-        assert math.isinf(_ratio_or_inf(tss, at))
-        assert _ratio_or_inf(tss, above) == tss / above
+    def test_inf_exactly_where_rss_is_zero(self):
+        tss, subnormal, normal = 3.0, np.nextafter(0.0, 1.0), np.finfo(float).tiny
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isinf(_ratio_or_inf(tss, 0.0))
+            assert math.isinf(_ratio_or_inf(0.0, 0.0))  # a constant column's centered read
+            # tss / subnormal overflows: inf as well, without a warning
+            assert math.isinf(_ratio_or_inf(tss, subnormal))
+            assert _ratio_or_inf(tss, normal) == tss / normal < math.inf
 
 
 class TestVifnc:

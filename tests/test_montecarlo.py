@@ -114,14 +114,18 @@ class TestRunScenario:
         assert summary.vif_exceedance == 0.0
 
     def test_degenerate_draws_counted_not_dropped(self):
-        # noise this small puts the auxiliary R2 inside the perfect-
-        # collinearity tolerance: every replication degenerates and must
-        # be disclosed as failed
-        spec = nonessential(replications=10, noise_sd=1e-9)
-        summary = run_scenario(spec)
+        # noise this small falls under the kernel's rank cut: it reads the
+        # pair as an exact relation, so every replication reads inf and
+        # must be disclosed as failed
+        summary = run_scenario(nonessential(replications=10, noise_sd=1e-13))
         assert summary.n_failed == 10
         assert summary.n_success == 0
         assert math.isnan(summary.vif_stats.median)
+        # VIFnc near 1e18 is still far inside full rank: every value is finite
+        summary = run_scenario(nonessential(replications=10, noise_sd=1e-9))
+        assert (summary.n_success, summary.n_failed) == (10, 0)
+        for stats in (summary.vif_stats, summary.vifnc_stats):
+            assert all(math.isfinite(value) for value in vars(stats).values())
 
     def test_custom_thresholds_move_exceedance(self):
         summary = run_scenario(nonessential(), Thresholds(vif=1.0, vifnc=1.0))
