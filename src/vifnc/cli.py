@@ -78,10 +78,7 @@ def cmd_aux(args) -> int:
     mode = AuxiliaryMode(args.mode)
     regressors = _split_names(args.regressors) if args.regressors else None
     fit = auxiliary_regression(data, args.column, regressors, mode)
-    used = regressors if regressors is not None else tuple(
-        name for name in data.names if name != args.column
-    )
-    label = f"{args.column} ~ {' + '.join(used)} ({mode.value})"
+    label = f"{args.column} ~ {' + '.join(fit.coefficient_names[fit.intercept :])} ({mode.value})"
     sys.stdout.write(render_fit(fit, label, fmt=args.format))
     return 0
 

@@ -13,16 +13,17 @@ unit-length columns. Only where that factor's Frobenius condition reaches
 ``1e-3 / SCALED_RANK_RTOL``, which bounds its spectral condition, does the
 kernel take its SVD and read ``1 / [(A'A)^+]_jj`` over the numerically
 nonzero singular values; below it the SVD would find full rank too.
-Every ratio is plain ``TSS / RSS``, ``math.inf`` exactly where the kernel
-read RSS 0 (weight in the numerical null space, or a constant column's
-centered read) and in that column's row only.
 
 Every diagnostic reads one factor of its DataMatrix: R of ``[1, D] = QR``
 with D every column of the matrix, and each column's mean, ``x'x``,
 centered TSS and constant flag. A column set S is read at its positions in
 D, in D's order: the kernel on ``R[:, [0] + S]`` gives the centered RSS and
 on ``R[:, S]`` the through-origin ones, since ``R[:, S]'R[:, S] = D_S'D_S``.
-So ``full_report``, ``variance_factors``, ``intercept_trick``, ``vif``,
+Each VIF and VIFnc comes with its RSS from one read, ``_Factor.read``, as
+``(TSS / RSS, RSS)``: the centered TSS and RSS for the VIF, ``x'x`` and the
+through-origin RSS for the VIFnc, ``math.inf`` exactly where the kernel read
+RSS 0 (null-space weight, or a constant column's centered read), in that row
+only. So ``full_report``, ``variance_factors``, ``intercept_trick``, ``vif``,
 ``vifnc``, ``stewart_decomposition`` and, on its stack of replications,
 :func:`vifnc.montecarlo.run_scenario` share one factor per matrix, and a
 value depends on the data and the column set alone: a per-column call
@@ -72,9 +73,9 @@ class Thresholds:
 
     The conventional VIF cutoff of 10 is the default for both; no
     canonical VIFnc threshold exists, which is why both stay configurable
-    and the report carries a caveat saying so. ``inf`` never flags; NaN
-    raises ``ValueError``, since every comparison with it is false and it
-    would silently never flag either.
+    and the report carries a caveat saying so. An infinite threshold never
+    flags, not even an infinite value; NaN raises ``ValueError``, since every
+    comparison with it is false and it would silently never flag either.
     """
 
     vif: float = 10.0
@@ -161,11 +162,11 @@ def _ratio_or_inf(tss, rss) -> np.ndarray:
         return np.where(rss == 0.0, np.inf, tss / np.where(rss == 0.0, 1.0, rss))
 
 
-def _term(vif: float, mean: float, n: int, rss: float) -> float:
+def _term(vif, mean, n: int, rss) -> np.ndarray:
     """``n*mean^2/rss``, Stewart's index minus the VIF; inf with the VIF unless the mean is 0."""
-    if math.isinf(vif):
-        return math.inf if mean != 0.0 else 0.0
-    return n * mean * mean / rss
+    with np.errstate(over="ignore"):
+        term = n * mean * mean / np.where(np.isinf(vif), 1.0, rss)
+    return np.where(np.isinf(vif), np.where(mean != 0.0, np.inf, 0.0), term)
 
 
 class _Factor:
@@ -224,7 +225,7 @@ class _Factor:
     def rss(self, positions: Sequence[int], centered: bool) -> tuple[np.ndarray, np.ndarray]:
         """``aux_rss`` of the columns at ``positions``, in their given order, and the rank.
 
-        ``centered`` puts the ones column first, and its RSS first in the result.
+        ``centered`` puts the ones column's RSS first, for :meth:`read` and ``variance_factors``.
         """
         lead, canonical = int(centered), tuple(sorted(positions))
         if (lead, canonical) not in self._rss:
@@ -234,6 +235,15 @@ class _Factor:
         out = rss.copy()
         out[..., lead + np.argsort(positions, kind="stable")] = rss[..., lead:]
         return out, rank
+
+    def read(self, positions: Sequence[int], centered: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Each column's ``TSS / RSS`` on the others at ``positions``, and that RSS, in their order.
+
+        ``centered``: with an intercept, over the centered TSS (the VIF); else through the
+        origin, over ``x'x`` (the VIFnc). ``inf`` exactly where the kernel read RSS 0.
+        """
+        rss = self.rss(positions, centered)[0][..., int(centered) :]
+        return _ratio_or_inf((self.tss_c if centered else self.xtx)[..., positions], rss), rss
 
 
 def _factor(data: DataMatrix) -> _Factor:
@@ -273,9 +283,8 @@ def _centered_on_others(
     i = positions[-1]
     if factor.constant[i]:
         raise ConstantRegressor(f"column {j!r} is constant; {undefined} is undefined")
-    rss = float(factor.rss(positions, centered=True)[0][-1])
-    value = float(_ratio_or_inf(factor.tss_c[i], rss))
-    return value, _term(value, float(factor.mean[i]), data.n, rss)
+    value, rss = (v[-1] for v in factor.read(positions, centered=True))
+    return float(value), float(_term(value, factor.mean[i], data.n, rss))
 
 
 def vif(
@@ -308,8 +317,8 @@ def vifnc(
     non-essential collinearity (the intercept trick).
     """
     factor, positions = _factor_at(data, _others(data, j, regressors) + (j,))
-    xtx = _nonzero_xtx(factor, (j,), positions[-1:])[0]
-    return float(_ratio_or_inf(xtx, factor.rss(positions, centered=False)[0][-1]))
+    _nonzero_xtx(factor, (j,), positions[-1:])
+    return float(factor.read(positions, centered=False)[0][-1])
 
 
 def stewart_index(
@@ -426,9 +435,8 @@ def intercept_trick(
         raise NoConstantColumn("the intercept trick needs an explicit all-ones regressor")
     if len(ones) > 1:
         raise ValueError(f"more than one all-ones regressor: {ones}")
-    xtx = _nonzero_xtx(factor, regressors, positions)
-    values = _ratio_or_inf(xtx, factor.rss(positions, centered=False)[0])
-    return [(j, float(value)) for j, value in zip(regressors, values)]
+    _nonzero_xtx(factor, regressors, positions)
+    return list(zip(regressors, factor.read(positions, centered=False)[0].tolist()))
 
 
 def full_report(
@@ -444,7 +452,8 @@ def full_report(
     Flags are pure functions of the numbers and the thresholds:
     ``essential_suspect`` when vif >= thresholds.vif, and
     ``nonessential_suspect`` when vifnc >= thresholds.vifnc while vif
-    stayed below its threshold (or was undefined).
+    stayed below its threshold (or was undefined); an infinite threshold
+    never fires its flag.
 
     Every row comes from the matrix's one factor (see the module
     docstring), which ``variance_factors`` and the per-column functions
@@ -461,41 +470,35 @@ def full_report(
     data.column(spec.dependent)
     factor, positions = _factor_at(data, spec.regressors)
     xtx = _nonzero_xtx(factor, spec.regressors, positions)
-    tss_c = factor.tss_c[positions]
-    rss_nc = factor.rss(positions, centered=False)[0]
-    rss_c = factor.rss(positions, centered=True)[0][1:]
-    values_nc = _ratio_or_inf(xtx, rss_nc)
-    values_c = _ratio_or_inf(tss_c, rss_c)
-    stewart = _ratio_or_inf(xtx, rss_c if spec.intercept else rss_nc)
-
-    rows = []
-    for i, (j, position) in enumerate(zip(spec.regressors, positions)):
-        mean = float(factor.mean[position])
-        # sd = sqrt(tss_c / (n - 1)) is x.std(ddof=1) to the bit
-        cv = math.inf if mean == 0.0 else math.sqrt(tss_c[i] / (data.n - 1)) / abs(mean)
-        value_nc = float(values_nc[i])
-
-        value_vif = centered = term = None
-        if not factor.constant[position]:
-            centered = float(rss_c[i])
-            value_vif = float(values_c[i])
-            term = _term(value_vif, mean, data.n, centered)
-
-        essential = value_vif is not None and value_vif >= thresholds.vif
-        nonessential = value_nc >= thresholds.vifnc and not essential
-        rows.append(
-            CollinearityRow(
-                variable=j,
-                mean=mean,
-                vif=value_vif,
-                vifnc=value_nc,
-                stewart_k2=float(stewart[i]),
-                nonessential_term=term,
-                rss_aux_centered=centered,
-                rss_aux_noncentered=float(rss_nc[i]),
-                coef_variation=cv,
-                essential_suspect=essential,
-                nonessential_suspect=nonessential,
-            )
+    mean, constant = factor.mean[positions], factor.constant[positions]
+    values_nc, rss_nc = factor.read(positions, centered=False)
+    values_c, rss_c = factor.read(positions, centered=True)
+    stewart = _ratio_or_inf(xtx, rss_c) if spec.intercept else values_nc
+    term = _term(values_c, mean, data.n, rss_c)
+    # sd/|mean|, inf at mean 0; sd = sqrt(tss_c / (n - 1)) is x.std(ddof=1) to the bit
+    cv = _ratio_or_inf(np.sqrt(factor.tss_c[positions] / (data.n - 1)), np.abs(mean))
+    # an infinite threshold never flags, not even an infinite value
+    essential = ~constant & (values_c >= thresholds.vif) & (thresholds.vif < math.inf)
+    nonessential = ~essential & (values_nc >= thresholds.vifnc) & (thresholds.vifnc < math.inf)
+    # a constant column's centered values are undefined: None in its row
+    values_c, term, rss_c = (np.where(constant, None, v).tolist() for v in (values_c, term, rss_c))
+    mean, values_nc, stewart, rss_nc, cv, essential, nonessential = (
+        v.tolist() for v in (mean, values_nc, stewart, rss_nc, cv, essential, nonessential)
+    )
+    rows = tuple(
+        CollinearityRow(
+            variable=j,
+            mean=mean[i],
+            vif=values_c[i],
+            vifnc=values_nc[i],
+            stewart_k2=stewart[i],
+            nonessential_term=term[i],
+            rss_aux_centered=rss_c[i],
+            rss_aux_noncentered=rss_nc[i],
+            coef_variation=cv[i],
+            essential_suspect=essential[i],
+            nonessential_suspect=nonessential[i],
         )
-    return CollinearityReport(rows=tuple(rows), thresholds=thresholds)
+        for i, j in enumerate(spec.regressors)
+    )
+    return CollinearityReport(rows=rows, thresholds=thresholds)

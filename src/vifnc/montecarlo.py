@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import Thresholds, _Factor, _ratio_or_inf
+from .diagnostics import Thresholds, _Factor
 from .errors import ConfigError
 from .datasets import _derive_seeds, _normal_columns
 
@@ -177,8 +177,7 @@ def run_scenario(spec: ScenarioSpec, thresholds: Thresholds = Thresholds()) -> M
     seeds = _derive_seeds(spec.master_seed, np.arange(spec.replications, dtype=np.uint64))
     _generate(spec, seeds, x)
     factor, columns = _Factor(x), range(width)
-    varr = _ratio_or_inf(factor.tss_c[:, j], factor.rss(columns, centered=True)[0][:, 1 + j])
-    warr = _ratio_or_inf(factor.xtx[:, j], factor.rss(columns, centered=False)[0][:, j])
+    varr, warr = (factor.read(columns, centered)[0][:, j] for centered in (True, False))
     ok = np.isfinite(varr) & np.isfinite(warr)
     varr, warr = varr[ok], warr[ok]
     return MonteCarloSummary(

@@ -93,6 +93,12 @@ class TestLoadCsv:
         with pytest.raises(NonFiniteValue):
             load_csv(io.StringIO("a,b\n1,inf\n3,4"))
 
+    def test_empty_header_name_or_line(self):
+        for text in ("a,,b\n1,2,3\n", "\n1,2\n"):
+            with pytest.raises(ParseError, match="empty column name") as err:
+                load_csv(io.StringIO(text))
+            assert err.value.row == 1
+
     def test_empty_input(self):
         with pytest.raises(ParseError):
             load_csv(io.StringIO(""))

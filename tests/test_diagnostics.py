@@ -150,6 +150,11 @@ class TestStewartIndex:
                 rhs = vifnc(data, j, others)
                 assert lhs == pytest.approx(rhs, rel=1e-8)
 
+    def test_zero_target_column_raises(self):
+        data = DataMatrix.from_columns({"z": np.zeros(5), "a": np.arange(5.0)})
+        with pytest.raises(ZeroColumn, match="'z'"):
+            stewart_index(data, "z", ["a"])
+
     def test_singular_gram_raises(self):
         x = np.linspace(1.0, 2.0, 10)
         data = DataMatrix.from_columns({"a": np.cos(x), "b": x, "c": x.copy()})
@@ -429,6 +434,19 @@ class TestFullReport:
         assert any(getattr(row, flag) for row in rows)
         rows = full_report(belsley_data, spec, Thresholds(**{field: math.inf})).rows
         assert not any(getattr(row, flag) for row in rows)
+        # not even an inf row: on [a, b, a+b] the other flag takes every row, and with
+        # both thresholds inf no flag fires
+        rng = np.random.default_rng(4)
+        a, b = rng.normal(3.0, 1.0, 12), rng.normal(-2.0, 1.0, 12)
+        data = DataMatrix.from_columns({"y": rng.normal(size=12), "a": a, "b": b, "c": a + b})
+        spec = ModelSpec("y", ("a", "b", "c"))
+        rows = full_report(data, spec, Thresholds(**{field: math.inf})).rows
+        assert all(math.isinf(row.vif) and math.isinf(row.vifnc) for row in rows)
+        other = ({"essential_suspect", "nonessential_suspect"} - {flag}).pop()
+        assert not any(getattr(row, flag) for row in rows)
+        assert all(getattr(row, other) for row in rows)
+        rows = full_report(data, spec, Thresholds(vif=math.inf, vifnc=math.inf)).rows
+        assert not any(row.essential_suspect or row.nonessential_suspect for row in rows)
 
     def test_two_dimensional_null_space_spares_the_column_outside_it(self):
         rng = np.random.default_rng(8)

@@ -106,3 +106,13 @@ def test_input_validation():
         solve_least_squares(np.eye(3), [1.0, 2.0])
     with pytest.raises(TooFewObservations):
         solve_least_squares(np.ones((2, 3)), [1.0, 2.0])
+    with pytest.raises(DimensionMismatch, match="at least one row and one column"):
+        solve_least_squares(np.ones((3, 0)), [1.0, 2.0, 3.0])
+
+
+def test_one_dimensional_design_is_one_column():
+    x, b = [1.0, 2.0, 4.0], [2.0, 4.1, 7.9]
+    column = solve_least_squares([[v] for v in x], b)
+    sol = solve_least_squares(x, b)
+    assert sol.coefficients.tolist() == column.coefficients.tolist()
+    assert (sol.rank, sol.residual_norm) == (1, column.residual_norm)

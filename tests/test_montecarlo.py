@@ -163,8 +163,10 @@ def one_replication(spec, r):
         nonessential(replications=40, seed=9),
         nonessential(replications=40, seed=9, noise_sd=1e-5),
         nonessential(replications=10, noise_sd=1e-9),
+        # draws under the rank cut beside full-rank ones: 5 succeed, 5 fail
+        nonessential(replications=10, noise_sd=2e-13),
     ],
-    ids=["independent", "essential", "nonessential", "nonessential-tight", "degenerate"],
+    ids=["independent", "essential", "nonessential", "nonessential-tight", "degenerate", "mixed"],
 )
 def test_stacked_run_matches_one_replication_at_a_time(spec):
     thresholds = Thresholds()

@@ -37,6 +37,17 @@ class TestDataMatrix:
         with pytest.raises(ValueError):
             DataMatrix(("a", "a"), np.ones((3, 2)))
 
+    def test_malformed_shapes_rejected(self):
+        for names, values, message in (
+            ((), np.ones((3, 0)), "at least one column"),
+            (("a",), np.ones(3), "2-d with 1 columns"),
+            (("a",), np.ones((0, 1)), "at least one observation"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                DataMatrix(names, values)
+        with pytest.raises(ValueError, match="at least one column"):
+            DataMatrix.from_columns({})
+
     def test_nonfinite_rejected(self):
         with pytest.raises(NonFiniteInput):
             DataMatrix.from_columns({"a": [1.0, np.nan]})
