@@ -290,9 +290,20 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
+def _check_integers(**fields) -> None:
+    """``ValueError`` naming the first of ``fields`` that is no int or NumPy integer.
+
+    A float is refused rather than truncated: a seed of 1.5 would run seed 1.
+    So is a bool, which Python counts as an int but NumPy does not take as a size.
+    """
+    for name, value in fields.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Recipe for one i.i.d. normal column."""
+    """Recipe for one i.i.d. normal column; ``n`` and ``seed`` are integers."""
 
     n: int
     mean: float
@@ -300,6 +311,7 @@ class GeneratorSpec:
     seed: int
 
     def __post_init__(self):
+        _check_integers(n=self.n, seed=self.seed)
         if self.n < 2:
             raise ValueError("need n >= 2")
         if not math.isfinite(self.mean):
@@ -336,8 +348,10 @@ def derive_seed(master_seed: int, index: int) -> int:
     """Deterministic child seed: the ``index``-th output of the master stream.
 
     Computed directly as mix(master + (index+1)*gamma), so deriving child
-    ``i`` never depends on having derived children ``0..i-1``.
+    ``i`` never depends on having derived children ``0..i-1``. Both
+    arguments are integers; anything else raises ``ValueError``.
     """
+    _check_integers(master_seed=master_seed, index=index)
     return SplitMix64((int(master_seed) + int(index) * _GOLDEN) & _MASK64).next_u64()
 
 

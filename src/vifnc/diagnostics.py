@@ -7,24 +7,31 @@ yields VIFnc, which reacts to relations among low-variability columns, the
 constant included once it is passed explicitly ("non-essential").
 
 No auxiliary regression is refitted. Every auxiliary RSS comes from one
-kernel, :func:`vifnc.linalg.aux_rss`: one Householder factor of the design,
-and ``RSS_j = 1 / [(A'A)^-1]_jj`` read off the inverse of that factor with
+kernel, :mod:`vifnc.linalg`: one Householder factor of the design, and
+``RSS_j = 1 / [(A'A)^-1]_jj`` read off the inverse of that factor with
 unit-length columns. Only where that factor's Frobenius condition reaches
 ``1e-3 / SCALED_RANK_RTOL``, which bounds its spectral condition, does the
 kernel take its SVD and read ``1 / [(A'A)^+]_jj`` over the numerically
 nonzero singular values; below it the SVD would find full rank too.
 
-Every diagnostic reads one factor of its DataMatrix: R of ``[1, D] = QR``
-with D every column of the matrix, and each column's mean, ``x'x``,
-centered TSS and constant flag. A column set S is read at its positions in
-D, in D's order: the kernel on ``R[:, [0] + S]`` gives the centered RSS and
-on ``R[:, S]`` the through-origin ones, since ``R[:, S]'R[:, S] = D_S'D_S``.
-Each VIF and VIFnc comes with its RSS from one read, ``_Factor.read``, as
-``(TSS / RSS, RSS)``: the centered TSS and RSS for the VIF, ``x'x`` and the
-through-origin RSS for the VIFnc, ``math.inf`` exactly where the kernel read
-RSS 0 (null-space weight, or a constant column's centered read), in that row
-only. So ``full_report``, ``variance_factors``, ``intercept_trick``, ``vif``,
-``vifnc``, ``stewart_decomposition`` and, on its stack of replications,
+Every diagnostic reads one factor of its DataMatrix: R of ``[D, 1] = QR``
+with D every column of the matrix and the ones column last, and each
+column's mean, ``x'x``, centered TSS and constant flag. A column set S is
+read at its positions in D, in D's order, with the ones column: R of
+``[D_S, 1]`` (a QR of ``R[:, S + [ones]]``, or R itself when S is every
+column) gives both halves from one back-substitution,
+:func:`vifnc.linalg._halves`. Its leading block is R of ``D_S``, so the
+through-origin RSS sum row j of the inverse up to the ones column,
+``g_nc,j``, and the centered ones add that row's ones entry,
+``g_c,j = g_nc,j + t_j^2``: the paper's two regressions differ by one
+column, and the code by one term. Each half keeps its own guard and
+SVD route. Each VIF and VIFnc comes with its RSS from one read,
+``_Factor.read``, as ``(TSS / RSS, RSS)``: the centered TSS and RSS for
+the VIF, ``x'x`` and the through-origin RSS for the VIFnc, ``math.inf``
+exactly where the kernel read RSS 0 (null-space weight, or a constant
+column's centered read), in that row only. So ``full_report``,
+``variance_factors``, ``intercept_trick``, ``vif``, ``vifnc``,
+``stewart_decomposition`` and, on its stack of replications,
 :func:`vifnc.montecarlo.run_scenario` share one factor per matrix, and a
 value depends on the data and the column set alone: a per-column call
 equals the report row of a model on the same columns, and a replication
@@ -50,11 +57,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConstantRegressor, NoConstantColumn, RankDeficient, ZeroColumn
-from .linalg import aux_rss
+from .errors import (
+    ConstantRegressor,
+    NoConstantColumn,
+    RankDeficient,
+    TooFewObservations,
+    ZeroColumn,
+)
+from .linalg import _guarded, _halves
 from .ols import INTERCEPT_NAME, DataMatrix, FitResult, ModelSpec, fit
 
-#: Bytes of one design's ``[1, D]`` that the factor takes at a time (see ``_Factor``).
+#: Bytes of one design's ``[D, 1]`` that the factor takes at a time (see ``_Factor``).
 _FACTOR_BYTES = 1 << 20
 #: The Gram route's floor: :func:`stewart_index` reads ``inf`` at an RSS of at most this times x'x.
 _GRAM_FLOOR = 1e-12
@@ -170,14 +183,14 @@ def _term(vif, mean, n: int, rss) -> np.ndarray:
 
 
 class _Factor:
-    """One Householder factor of ``[1, D]`` and its column sums, D of shape ``(..., n, K)``.
+    """One Householder factor of ``[D, 1]`` and its column sums, D of shape ``(..., n, K)``.
 
     D is one design or a stack of them, each read alone: a stack's fields
-    equal each design's to the bit. ``r`` is R of ``[1, D] = QR``, taken in
-    blocks of rows of about :data:`_FACTOR_BYTES` per design: R of the rows
-    so far, stacked on the next block, is factored again, which is as
-    backward stable as one pass, keeps the block in cache and never copies
-    the whole matrix.
+    equal each design's to the bit. ``r`` is R of ``[D, 1] = QR``, the
+    ones column last, taken in blocks of rows of about
+    :data:`_FACTOR_BYTES` per design: R of the rows so far, stacked on the
+    next block, is factored again, which is as backward stable as one
+    pass, keeps the block in cache and never copies the whole matrix.
 
     Arrays over ``(..., K)``, per column of D: ``mean``, ``xtx`` (``x'x``),
     ``tss_c`` (the centered TSS) and ``constant`` (every entry equal), each
@@ -186,12 +199,14 @@ class _Factor:
     on the route that read them. A constant column's mean is its value, so
     its ``tss_c`` is exactly 0.
 
-    A column set is read at its positions in D, in D's order, so a value
+    A column set S is read at its positions in D, in D's order, so a value
     depends on the data and the set alone. Since ``R[:, S]'R[:, S]`` is
-    ``D_S'D_S``, the kernel on ``R[:, [0] + S]`` gives the centered RSS
-    and on ``R[:, S]`` the through-origin ones, from (K+1)-row matrices.
-    Each read runs the kernel on first use only, so a report names a zero
-    column before the kernel can object to the design's shape.
+    ``D_S'D_S``, a QR of the (K+1)-row ``R[:, S + [ones]]`` is R of
+    ``[D_S, 1]``, and :func:`vifnc.linalg._halves` reads its centered and
+    through-origin RSS off one back-substitution, kept per S; each half is
+    routed (:func:`vifnc.linalg._guarded`) when first read. Each read runs
+    the kernel on first use only, so a report names a zero column before
+    the kernel can object to the design's shape.
     """
 
     def __init__(self, values: np.ndarray):
@@ -211,8 +226,8 @@ class _Factor:
             # each design in Fortran order, as LAPACK takes it
             design = np.empty((*stack, k + 1, self.r.shape[-2] + rows.shape[-2])).swapaxes(-1, -2)
             design[..., : self.r.shape[-2], :] = self.r
-            design[..., self.r.shape[-2] :, 0] = 1.0
-            design[..., self.r.shape[-2] :, 1:] = rows
+            design[..., self.r.shape[-2] :, :k] = rows
+            design[..., self.r.shape[-2] :, k] = 1.0
             self.r = np.linalg.qr(design, mode="r")
         for c in range(k):
             x[...] = values[..., c]
@@ -220,20 +235,38 @@ class _Factor:
             self.mean[..., c] = mean = np.where(constant, x[..., 0], x.mean(axis=-1))
             x -= mean[..., None]
             self.tss_c[..., c] = np.multiply(x, x, out=x).sum(axis=-1)
-        self._rss = {}
+        self._halves, self._rss = {}, {}
 
     def rss(self, positions: Sequence[int], centered: bool) -> tuple[np.ndarray, np.ndarray]:
         """``aux_rss`` of the columns at ``positions``, in their given order, and the rank.
 
-        ``centered`` puts the ones column's RSS first, for :meth:`read` and ``variance_factors``.
+        ``centered`` adds the ones column, its RSS last, for :meth:`read` and
+        ``variance_factors``. Both halves of a column set come from one read of
+        the factor, kept for the next call on the same set.
         """
-        lead, canonical = int(centered), tuple(sorted(positions))
-        if (lead, canonical) not in self._rss:
-            columns = [0] * lead + [p + 1 for p in canonical]
-            self._rss[lead, canonical] = aux_rss(self.r[..., columns])
-        rss, rank = self._rss[lead, canonical]
+        # as aux_rss: an auxiliary regression of a design of `columns` needs `columns - 1` rows
+        rows, columns = self.r.shape[-2], len(positions) + centered
+        if rows < columns - 1:
+            message = f"{rows} observations cannot support {columns - 1} design columns"
+            raise TooFewObservations(message)
+        canonical = tuple(sorted(positions))
+        if canonical not in self._halves:
+            # R of [D_S, 1]: a QR of R's columns S and the ones column, unless they are all of R
+            r = self.r[..., [*canonical, self.r.shape[-1] - 1]]
+            if len(canonical) + 1 < self.r.shape[-1]:
+                r = np.linalg.qr(r, mode="r")
+            if r.shape[-2] < r.shape[-1]:
+                # zero rows leave R'R, and so every RSS, unchanged and make R square
+                pad = np.zeros((*r.shape[:-2], r.shape[-1] - r.shape[-2], r.shape[-1]))
+                r = np.concatenate([r, pad], axis=-2)
+            self._halves[canonical] = _halves(r)
+        if (centered, canonical) not in self._rss:
+            # a half the guard sends to the SVD takes it when first read, not before
+            half = self._halves[canonical][0 if centered else 1]
+            self._rss[centered, canonical] = _guarded(*half)
+        rss, rank = self._rss[centered, canonical]
         out = rss.copy()
-        out[..., lead + np.argsort(positions, kind="stable")] = rss[..., lead:]
+        out[..., np.argsort(positions, kind="stable")] = rss[..., : len(positions)]
         return out, rank
 
     def read(self, positions: Sequence[int], centered: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -242,7 +275,7 @@ class _Factor:
         ``centered``: with an intercept, over the centered TSS (the VIF); else through the
         origin, over ``x'x`` (the VIFnc). ``inf`` exactly where the kernel read RSS 0.
         """
-        rss = self.rss(positions, centered)[0][..., int(centered) :]
+        rss = self.rss(positions, centered)[0][..., : len(positions)]
         return _ratio_or_inf((self.tss_c if centered else self.xtx)[..., positions], rss), rss
 
 
@@ -399,7 +432,7 @@ def variance_factors(
     rss, rank = factor.rss(positions, spec.intercept)
     if rank < rss.shape[0]:
         raise RankDeficient("model design is numerically rank deficient")
-    # the ones column: x'x = n, and it is the intercept
+    # the ones column: x'x = n, and it is the intercept; its RSS comes last, but it leads the design
     lead = [(INTERCEPT_NAME, float(data.n), True)] if spec.intercept else []
     xtx, constant = factor.xtx[positions].tolist(), factor.constant[positions].tolist()
     columns = lead + list(zip(spec.regressors, xtx, constant))
@@ -411,7 +444,7 @@ def variance_factors(
             ratio=float(var) * xtx,
             intercept_position=constant,
         )
-        for (name, xtx, constant), var in zip(columns, 1.0 / rss)
+        for (name, xtx, constant), var in zip(columns, np.roll(1.0 / rss, int(spec.intercept)))
     ]
 
 

@@ -99,14 +99,12 @@ def _scaled_spectrum(r: np.ndarray):
 _INVERSE_KAPPA = 1e-3 / SCALED_RANK_RTOL
 
 
-def _inverse_rss(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """RSS off the inverse of the triangular ``r`` with unit-length columns, and its condition.
+def _unit_inverse(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column norms ``d`` of the triangular ``r``, and ``U^-1`` for ``U = R D^-1``.
 
-    With ``U = R D^-1``, ``g_j = [(U'U)^-1]_jj`` is the squared norm of row
-    j of ``U^-1``, taken by one back-substitution over the stack, and
-    ``RSS_j = d_j^2 / g_j``. The condition is Frobenius',
-    ``||U||_F ||U^-1||_F = sqrt(k * sum_j g_j)``. A singular ``U`` (a zero
-    column, an exact relation) gives inf or NaN there, without a warning.
+    ``U^-1`` takes one back-substitution over the stack; its row j has
+    ``[(U'U)^-1]_jj`` as its squared norm. A singular ``U`` (a zero column,
+    an exact relation) gives inf or NaN there, without a warning.
     """
     norms, unit = _unit_columns(r)
     k = r.shape[-1]
@@ -118,8 +116,38 @@ def _inverse_rss(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             # matmul, so a design sums in the same order in a stack as alone
             done = (unit[..., i, i + 1 :, None] * inverse[..., i + 1 :, i:]).sum(axis=-2)
             inverse[..., i, i:] = (identity[i, i:] - done) / unit[..., i, i, None]
-        g = (inverse * inverse).sum(axis=-1)
-        return norms * norms / g, np.sqrt(k * g.sum(axis=-1))
+    return norms, inverse
+
+
+def _inverse_read(norms: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``RSS_j = d_j^2 / g_j`` and the Frobenius condition ``sqrt(k * sum_j g_j)``, k = len(g)."""
+    with np.errstate(all="ignore"):
+        return norms * norms / g, np.sqrt(g.shape[-1] * g.sum(axis=-1))
+
+
+def _inverse_rss(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """RSS off the inverse of the triangular ``r`` with unit-length columns, and its condition.
+
+    With ``U = R D^-1``, ``g_j = [(U'U)^-1]_jj`` is the squared norm of row
+    j of ``U^-1`` (:func:`_unit_inverse`) and ``RSS_j = d_j^2 / g_j``. The
+    condition is Frobenius', ``||U||_F ||U^-1||_F = sqrt(k * sum_j g_j)``.
+    """
+    norms, inverse = _unit_inverse(r)
+    with np.errstate(all="ignore"):
+        return _inverse_read(norms, (inverse * inverse).sum(axis=-1))
+
+
+def _guarded(r: np.ndarray, rss: np.ndarray, kappa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The inverse route's ``rss`` and full rank, or the SVD route's where ``kappa`` fails.
+
+    The guard is ``kappa < _INVERSE_KAPPA``, which a NaN condition fails
+    too. Each design of a stack is routed alone.
+    """
+    rank = np.full(kappa.shape, r.shape[-1])
+    spectral = ~(kappa < _INVERSE_KAPPA)
+    if spectral.any():
+        rss[spectral], rank[spectral] = _spectral_rss(r[spectral])
+    return rss, rank[()]  # a scalar for one design
 
 
 def _spectral_rss(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -212,12 +240,34 @@ def aux_rss(design) -> tuple[np.ndarray, np.ndarray]:
         # a zero row leaves A'A, and so every RSS, unchanged and makes R square
         a = np.concatenate([a, np.zeros(a.shape[:-2] + (1, k))], axis=-2)
     r = np.linalg.qr(a, mode="r")
-    rss, kappa = _inverse_rss(r)
-    rank = np.full(kappa.shape, k)
-    spectral = ~(kappa < _INVERSE_KAPPA)  # a NaN condition fails the guard too
-    if spectral.any():
-        rss[spectral], rank[spectral] = _spectral_rss(r[spectral])
-    return rss, rank[()]  # a scalar for one design
+    return _guarded(r, *_inverse_rss(r))
+
+
+def _halves(r: np.ndarray):
+    """The centered and through-origin inverse-route reads of a square triangular R of ``[D, 1]``.
+
+    ``r`` is R of ``[D, 1] = QR`` (or of a matrix with the same ``A'A``),
+    D of k columns and the ones column last. Its leading k x k block is R
+    of D, and the inverse of that block is the leading block of ``U^-1``.
+    So one back-substitution (:func:`_unit_inverse`) gives both halves of
+    :func:`aux_rss`: ``g_nc,j``, row j's squared norm up to the ones
+    column, for D's through-origin RSS, and ``g_c,j = g_nc,j + t_j^2``,
+    with ``t_j`` that row's entry in the ones column, for the centered RSS
+    of the k + 1 columns of ``[D, 1]``. Since ``g_c,j >= g_nc,j`` after
+    rounding too, ``rss_c <= rss_nc`` holds exactly wherever both halves
+    take the inverse route.
+
+    Each half is ``(triangle, rss, kappa)``, ready for :func:`_guarded`:
+    ``r`` and ``sqrt((k + 1) sum g_c)`` for the centered half, the leading
+    block and ``sqrt(k sum g_nc)`` for the through-origin one. So each half
+    takes the SVD route alone, and only when it is read.
+    """
+    norms, inverse = _unit_inverse(r)
+    with np.errstate(all="ignore"):
+        g = (inverse[..., :-1] * inverse[..., :-1]).sum(axis=-1)  # 0 on the ones row
+        g_c = g + inverse[..., -1] * inverse[..., -1]
+    centered = (r, *_inverse_read(norms, g_c))
+    return centered, (r[..., :-1, :-1], *_inverse_read(norms[..., :-1], g[..., :-1]))
 
 
 def solve_least_squares(A, b) -> LeastSquaresSolution:

@@ -35,7 +35,7 @@ import numpy as np
 
 from .diagnostics import Thresholds, _Factor
 from .errors import ConfigError
-from .datasets import _derive_seeds, _normal_columns
+from .datasets import _check_integers, _derive_seeds, _normal_columns
 
 #: Per kind: regressor columns, the column diagnosed, and the config keys its recipe reads.
 _KINDS = {
@@ -49,6 +49,9 @@ KINDS = tuple(_KINDS)
 @dataclass(frozen=True)
 class ScenarioSpec:
     """A simulation scenario; a kind needs the parameters ``_KINDS`` lists and takes no other.
+
+    ``n``, ``replications`` and ``master_seed`` are integers (int or NumPy);
+    anything else raises ``ValueError`` naming the field.
 
     ``lam`` is the slope of the essential near-relation (config key
     ``lambda``), ``noise_sd`` the disturbance scale of either structured
@@ -66,9 +69,7 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        for name in ("n", "replications"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        _check_integers(n=self.n, replications=self.replications, master_seed=self.master_seed)
         if self.n < 4:
             raise ValueError("need n >= 4")
         if self.replications < 1:

@@ -24,13 +24,16 @@ The sweep draws n from 8 to 30 and k from 3 to 6, scales each column by
   condition 1e4 up.
 
 Routes. Every design is checked three times, against the same reference
-and bounds: on the direct route ``aux_rss(X)``; on the factor route
-``aux_rss(R[:, 1:])`` with R the triangular factor of ``[1, X]``
-(``X = Q R[:, 1:]``); and on the subset route, which is how every VIF,
-VIFnc and report row reads the kernel: X sits among three extra columns
-of mixed scale, in shuffled order, in a DataMatrix D, and its RSS come
-from ``aux_rss(R[:, S])`` with R the factor of ``[1, D]`` and S the
-positions of X's columns in D. Each design is also checked on the two
+and bounds: on the direct route ``aux_rss(X)``; on the factor route, the
+through-origin half that ``_halves`` reads off the leading block of R of
+``[X, 1]`` (``X = Q R[:k, :k]``); and on the subset route, which is how
+every VIF, VIFnc and report row reads the kernel: X sits among three
+extra columns of mixed scale, in shuffled order, in a DataMatrix D, and
+its RSS are the through-origin half of R of ``[D_S, 1]``, taken from R
+of ``[D, 1]`` at S, the positions of X's columns in D, and the ones
+column. The factor route's centered half, the RSS of every column of
+``[X, 1]``, is checked against the reference of those k + 1 columns with
+the bound of ``[X, 1]``. Each design is also checked on the two
 private routes of the kernel alone, on R of X: the SVD route
 (``_spectral_rss``) on every design, and the inverse route
 (``_inverse_rss``) on every design under the guard. Such a design must
@@ -44,9 +47,12 @@ Tolerance. A backward-stable route gets an RSS to about eps times the
 condition of the kept part of the spectrum. While the kernel took the
 SVD of every design, over 340 designs from these generators, the 63 of
 this file among them, the worst error on the direct and the factor route
-was 1.6 and 2.3 eps * cond where every relation was kept, 2.0 and 2.5
-eps * cond beside an exact relation, and 4.4 and 4.8 eps * cond where a
-near relation at 1e14 was cut. An earlier 350-design
+(then ``aux_rss`` on R of ``[1, X]``) was 1.6 and 2.3 eps * cond where
+every relation was kept, 2.0 and 2.5 eps * cond beside an exact
+relation, and 4.4 and 4.8 eps * cond where a near relation at 1e14 was
+cut. On R of ``[X, 1]``, the 63 designs here gave at most 1.0, 1.1 and
+3.9 eps * cond on the through-origin half and 0.96, 2.1 and 2.8 on the
+centered half, in the same three classes. An earlier 350-design
 run of the direct route reached 2.1, 7.4 and 11.5 eps * cond. On the
 subset route, 315 designs of these generators (the 63 among them) gave
 at most 6.3, 12.0 and 9.0 eps * cond in the same three classes. On the
@@ -64,8 +70,9 @@ null-weight rule ``w_j > (1e-13 s_1)^2 g_j``, a factor (1e-13/eps)^2 =
 2e5 above ``(eps s_1)^2 g_j``. Columns outside a relation carried at
 most 169 (eps s_1)^2 g_j of null weight (15 beside an exact relation),
 and columns inside one at least 1.5e13 (eps s_1)^2 g_j. On the factor
-route, 160 designs with a cut relation gave at most 92 and at least
-1.1e13; on the subset route, 125 gave at most 72 and at least 3.0e13.
+and subset routes of R of ``[1, X]`` and ``[1, D]``, 160 and 125 designs
+with a cut relation gave at most 92 and 72, and at least 1.1e13 and
+3.0e13.
 """
 
 import zlib
@@ -79,6 +86,8 @@ from vifnc.errors import TooFewObservations
 from vifnc.linalg import (
     _INVERSE_KAPPA,
     SCALED_RANK_RTOL,
+    _guarded,
+    _halves,
     _inverse_rss,
     _spectral_rss,
     aux_rss,
@@ -174,17 +183,26 @@ def kept_condition(X, rank):
     return s[0] / s[rank - 1]
 
 
+def with_ones(X):
+    return np.column_stack([X, np.ones(len(X))])
+
+
+def factor_halves(X):
+    """Both halves of ``_halves`` on R of ``[X, 1] = QR``, routed as the diagnostics route them."""
+    return [_guarded(*half) for half in _halves(np.linalg.qr(with_ones(X), mode="r"))]
+
+
 def factor_route(X):
-    """``aux_rss`` on R[:, 1:] of ``[1, X] = QR``: X's RSS, read as the diagnostics read them."""
-    return aux_rss(np.linalg.qr(np.column_stack([np.ones(len(X)), X]), mode="r")[:, 1:])
+    """X's RSS off the leading block of R of ``[X, 1]``: the through-origin half."""
+    return factor_halves(X)[1]
 
 
 def subset_route(X):
     """X's RSS read off the factor of a DataMatrix that holds X among other columns.
 
     Three extra columns of mixed scale join X in a shuffled order; the
-    diagnostics' factor of ``[1, D]`` then reads ``aux_rss(R[:, S])`` at
-    X's positions S, which is how every diagnostic reads a column set.
+    diagnostics' factor of ``[D, 1]`` then reads X's positions S with the
+    ones column, which is how every diagnostic reads a column set.
     """
     n, k = X.shape
     rng = np.random.default_rng(zlib.crc32(X.tobytes()))
@@ -218,7 +236,22 @@ def check_against_reference(X, columns, zero):
                 assert rss[j] == 0.0, f"{route}: column {j} of the relation reads {rss[j]!r}"
             else:
                 assert rss[j] == pytest.approx(reference[j], rel=bound), f"{route}: column {j}"
+    check_centered_half(X, columns, zero)
     check_inverse_route(X, reference, zero)
+
+
+def check_centered_half(X, columns, zero):
+    """The centered half of the factor route: every column of ``[X, 1]`` on the others."""
+    A = with_ones(X)
+    reference = reference_rss(columns + [as_mp(A[:, -1])])
+    rss, rank = factor_halves(X)[0]
+    assert rank == A.shape[1] - (1 if zero else 0)
+    bound = TOL_FACTOR * EPS * kept_condition(A, rank)
+    for j in range(A.shape[1]):
+        if j in zero:
+            assert rss[j] == 0.0, f"centered: column {j} of the relation reads {rss[j]!r}"
+        else:
+            assert rss[j] == pytest.approx(reference[j], rel=bound), f"centered: column {j}"
 
 
 def check_inverse_route(X, reference, zero):

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vifnc import DataMatrix, belsley, linalg, load_csv, save_csv, to_csv
+from vifnc import DataMatrix, belsley, diagnostics, linalg, load_csv, montecarlo, save_csv, to_csv
 from vifnc.cli import main
 
 BELSLEY_CSV = to_csv(belsley())
@@ -444,25 +444,45 @@ class TestMontecarlo:
 # a space separated the table's columns (the same whitespace-split tokens).
 # The JSON and CSV ones were taken again once `run_scenario` read the
 # diagnostics' factor (counts and exceedances stayed, VIF moved at most
-# 2.5e-16 and VIFnc 4.2e-14 relative), and again once the kernel read
-# full-rank designs off the inverse of its factor (counts and exceedances
-# stayed, every value moved at most 1.4e-15 relative).
+# 2.5e-16 and VIFnc 4.2e-14 relative), once the kernel read full-rank
+# designs off the inverse of its factor (every value moved at most 1.4e-15
+# relative), and once the factor put the ones column last (counts and
+# exceedances stayed, every value moved at most 2.3e-13 relative).
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "demos" / "configs"
 MONTECARLO_GOLDENS = [
     ("essential", "text", "0afdabcc19aee8fc593b081b81caad50c27864cb0ca1ca85520ad4e68259456c"),
+    ("essential", "json", "2d619bd8f8fe705ad338346a4cc5b42f5b344a1bd462f17b64d504cece05f16b"),
+    ("essential", "csv", "35e93f4d581c97a2b1439560398f9cbe2ffde057eceac88168bec74d97d1b375"),
+    ("independent", "text", "c413d579e6af3fdca3aaa36ccaae5682033fd6f7c1d86d0f5d4654106ea107db"),
+    ("independent", "json", "0a6fc5c1ee2546985cc62c456224973558d8dcc074a975632ee147ccae18aac8"),
+    ("independent", "csv", "da5b96f6dd26a0224b079f1eeae4ab1ed7fd8223a1dc72dfab35d1288b9599ed"),
+    ("nonessential", "text", "049eef4e2bf5dbf2d27cf464aed3e4cd29e488ef4206ea347203c4b2be22c9a8"),
+    ("nonessential", "json", "0721e6c409cb8d31e2c148fe26ec982441fbe34f2f10c2f5e45cb366947ec04c"),
+    ("nonessential", "csv", "3ff05bf9965013641bc45970253ce449e129e0391f332d09f8b18c0b509759d0"),
+]
+# The JSON and CSV digests with the guard of `aux_rss` shut, so that every
+# design takes the SVD route.
+MONTECARLO_SVD_GOLDENS = [
+    ("essential", "json", "1e2ee26e759e5c1e571b0aa5f8dd4e742d8baba48f1b8bed23053a35be76a289"),
+    ("essential", "csv", "7689305eb89cb7e0bc72ba307663db5daba8ff653e796dda1698ed8313610c98"),
+    ("independent", "json", "a10a1bf3578e588720e54f00d06394d643c093f75eddefe23a8df6c7dfd66cac"),
+    ("independent", "csv", "c0c9e2af2fe47771416df91fcc71cc82586f2c9c83fee5f5101ba17f1a076594"),
+    ("nonessential", "json", "bcd6d84644f940c4757068351beac1fc0f5b0ac6b879da302fa713a79d890b88"),
+    ("nonessential", "csv", "6cf2e04d9f7fbd4d2c5873ff91ab711870549a44230b6a9923f96a52fed82f41"),
+]
+# The JSON and CSV digests pinned while the factor was R of `[1, D]`, under
+# the guard open and shut. `OnesFirstFactor` reads each half as every
+# diagnostic read it then, with `aux_rss` on R's columns, and must still
+# print those bytes: nothing but the factor's layout moved them.
+MONTECARLO_ONES_FIRST_GOLDENS = [
     ("essential", "json", "f587e5993f8707db25975d545c970bfbb67d9714c9e2f91015c7fc3b75da2e9c"),
     ("essential", "csv", "7a819ec937694e1c6ad066c39ccd74a1bf8b6286a87c5d21ef3e5201c5dac043"),
-    ("independent", "text", "c413d579e6af3fdca3aaa36ccaae5682033fd6f7c1d86d0f5d4654106ea107db"),
     ("independent", "json", "01defe3a3aff8bae6b35fbddc8c22dfe68f5fbd4539c4fbe9e539f06ae832792"),
     ("independent", "csv", "6a7bc0cb9de012ba099ec84736a7a801e92e7cf050aa7725352b972e94cf2f07"),
-    ("nonessential", "text", "049eef4e2bf5dbf2d27cf464aed3e4cd29e488ef4206ea347203c4b2be22c9a8"),
     ("nonessential", "json", "ab5d28255aa3124e8f40aa290fb52276eb81ab5fdf5657647307d5840bfa5805"),
     ("nonessential", "csv", "9e82da1996448530dae2071c797be6c432528bc7b5e78f15dc5166cc0539152e"),
 ]
-# The JSON and CSV digests pinned while every design took the SVD route.
-# With the guard of `aux_rss` shut, every design takes that route again and
-# the output must not move by a bit.
-MONTECARLO_SVD_GOLDENS = [
+MONTECARLO_ONES_FIRST_SVD_GOLDENS = [
     ("essential", "json", "f57d2081f4bfc3a01755736455aca2f28d77541afa5559e282832ff5e8befa23"),
     ("essential", "csv", "94785aa0a3a9910b75e3bbfbdb8e3d95eba295ba2d85b5b6195dc63d9409a44a"),
     ("independent", "json", "854ca09b848e98cf8aa7adbaa7238c440ffc894b03159e874f4c12e830e59b1d"),
@@ -472,24 +492,60 @@ MONTECARLO_SVD_GOLDENS = [
 ]
 
 
-def golden_params(goldens, svd_goldens):
-    """Each golden as a case with its guard open, then each SVD golden with it shut."""
-    return [pytest.param(*golden, False, id="-".join(golden)) for golden in goldens] + [
-        pytest.param(*golden, True, id="-".join(golden)) for golden in svd_goldens
+class OnesFirstFactor(diagnostics._Factor):
+    """The factor as laid out before the ones column went last, for designs of one row block.
+
+    ``r`` is R of ``[1, D]``, and a column set S is read with ``aux_rss`` on
+    ``R[:, [0] + S]`` (centered) or ``R[:, S]`` (through the origin), each
+    with its own QR, back-substitution and guard.
+    """
+
+    def __init__(self, values):
+        super().__init__(values)
+        ones = np.ones((*values.shape[:-1], 1))
+        self.r = np.linalg.qr(np.concatenate([ones, values], axis=-1), mode="r")
+
+    def rss(self, positions, centered):
+        lead = int(centered)
+        rss, rank = linalg.aux_rss(self.r[..., [0] * lead + [p + 1 for p in sorted(positions)]])
+        rss = np.roll(rss, -lead, axis=-1)  # the ones column last, as `_Factor.rss` puts it
+        out = rss.copy()
+        out[..., np.argsort(positions, kind="stable")] = rss[..., : len(positions)]
+        return out, rank
+
+
+ROUTES = ("open", "svd", "ones-first", "ones-first-svd")
+
+
+def golden_params(*tables):
+    """Each golden of each table as a case, on the route of ``ROUTES`` its table is pinned for."""
+    return [
+        pytest.param(*golden, route, id="-".join(golden))
+        for route, goldens in zip(ROUTES, tables)
+        for golden in goldens
     ]
 
 
-def shut_inverse_route(monkeypatch):
-    """Send every design of `aux_rss` to the SVD route: no condition is below 0."""
-    monkeypatch.setattr(linalg, "_INVERSE_KAPPA", 0.0)
+def take_route(monkeypatch, route):
+    """Shut the guard of `aux_rss` on the SVD routes; lay the factor out as `[1, D]` on the old ones."""
+    if route.endswith("svd"):
+        monkeypatch.setattr(linalg, "_INVERSE_KAPPA", 0.0)  # no condition is below 0
+    if route.startswith("ones-first"):
+        monkeypatch.setattr(diagnostics, "_Factor", OnesFirstFactor)
+        monkeypatch.setattr(montecarlo, "_Factor", OnesFirstFactor)
 
 
 @pytest.mark.parametrize(
-    "config, fmt, digest, svd_only", golden_params(MONTECARLO_GOLDENS, MONTECARLO_SVD_GOLDENS)
+    "config, fmt, digest, route",
+    golden_params(
+        MONTECARLO_GOLDENS,
+        MONTECARLO_SVD_GOLDENS,
+        MONTECARLO_ONES_FIRST_GOLDENS,
+        MONTECARLO_ONES_FIRST_SVD_GOLDENS,
+    ),
 )
-def test_shipped_config_output_is_byte_identical(config, fmt, digest, svd_only, capsys, monkeypatch):
-    if svd_only:
-        shut_inverse_route(monkeypatch)
+def test_shipped_config_output_is_byte_identical(config, fmt, digest, route, capsys, monkeypatch):
+    take_route(monkeypatch, route)
     code, out, _ = run_cli(capsys, "montecarlo", str(CONFIG_DIR / f"{config}.cfg"), "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
@@ -500,8 +556,11 @@ def test_shipped_config_output_is_byte_identical(config, fmt, digest, svd_only, 
 # inputs are written into the working directory and named relatively,
 # because `diagnose` prints the path it was given. The JSON and CSV digests
 # of belsley*, constant and replicate were taken again once the kernel read
-# full-rank designs off the inverse of its factor: flags and verdicts
-# stayed, every diagnostic moved at most 1.3e-13 relative.
+# full-rank designs off the inverse of its factor (flags and verdicts
+# stayed, every diagnostic moved at most 1.3e-13 relative), and with
+# collinear's once the factor put the ones column last (flags and verdicts
+# stayed, every diagnostic moved at most 6.7e-14 relative, 2.5e-13 with the
+# guard shut).
 CLI_CASES = {
     "belsley": ["diagnose", "belsley.csv", "--dependent", "y"],
     "belsley-no-intercept": ["diagnose", "belsley.csv", "--dependent", "y", "--no-intercept"],
@@ -519,20 +578,20 @@ CLI_CASES = {
 }
 CLI_GOLDENS = [
     ("belsley", "text", "f4860e6ac3f5ed5a05f4ff71236ad3573d509f881ae662fadbaef35563092097"),
-    ("belsley", "json", "2f898eabc64d70872108c864b8099aee121fe60775696b6badedc9837892c1ae"),
-    ("belsley", "csv", "c1b10d4aec5b5e4bf2d631d2d8e933d561b86322a91e8fe2f252594d2273c5c1"),
+    ("belsley", "json", "3de5e0aef17127d7a83c5eb6e204fc7e63f397849a6aae7257c630508705e0c4"),
+    ("belsley", "csv", "755f4ade6b46996e8f8c9b8dbf6647af5e79f777752a9a384690f7d32f56dc00"),
     ("belsley-no-intercept", "text", "7df4bc17ed8f15dad5b133c5e058618c4e2415811c77d0ae96acf8445e3f4a76"),
-    ("belsley-no-intercept", "json", "52e0c714804f12dc9ced8361aaa14f57b740d4ed41c1a8e657e6701d426829c8"),
-    ("belsley-no-intercept", "csv", "3e707ef257d5aa1f12604dbf51683efab87739869e8651236a107f7a2dc086cb"),
+    ("belsley-no-intercept", "json", "adbd31729892b12f63f62416da855b73d68cac68dd6bfe002e71f7aa265fe0c6"),
+    ("belsley-no-intercept", "csv", "de3f9d7555b28a1b13928a9be31d5277b8d7a6b6a603a3d342db1ab55241a1a6"),
     ("belsley-threshold", "text", "e6979810ff80ad727c7ba9fe4f0ec8a7c45f08c62ab865bae4dd2f8206591df5"),
-    ("belsley-threshold", "json", "b11e27e973a070ed2b01354b6a201190acc680d9d4e8f05405ba8717b6e0d6cf"),
-    ("belsley-threshold", "csv", "ddc1bbf5224be6d3340356ecc8473d31633f9d7061090603fdddea9f28377f43"),
+    ("belsley-threshold", "json", "eb5339962d31cd64203d3165e3eeda0d62a9618a29d6b1e5e75d7574c711ff2f"),
+    ("belsley-threshold", "csv", "4d8cfe31704bb91cc450e93662c018ba90c605e80f8c6ea5d8f857b59307ba8b"),
     ("collinear", "text", "b1b1951119d9b920d423a3229a315b8fd43d55a25acc1b4063d665d7ad39cf17"),
-    ("collinear", "json", "4fc19e172f74aaaceeac5af92483a82f7ef1fd39dd2879be9f25ea6709baaca2"),
-    ("collinear", "csv", "61b256b6f1b262e2198b1cab2dc080d13635fe640223ddf6ee110fa585d95a01"),
+    ("collinear", "json", "791c27fbdd35fd1103de2241b32ba85a2e0dcefc4a1d2e4cd9584aeefdad424b"),
+    ("collinear", "csv", "8525ea79f285e9d30b14094a997f9b089293a11974464125ce061332c292f918"),
     ("constant", "text", "d719faf3c7660617b3d6dbca3d5b28ba114a0f0aec06b9ce274190b948c65d44"),
-    ("constant", "json", "064746eb7ddfa914f850ca0acf446e52eb381f193be04211d1f4e35146c75dbd"),
-    ("constant", "csv", "79eac52ff18daf09570c3bed5e39dddc1e766cfae17590e232debfdd367a9f22"),
+    ("constant", "json", "3b88b0571b88872f1daf010f55eb6cc2c541cde01d50f144fde91bafa56d0c97"),
+    ("constant", "csv", "f5f9bad6e4f4485d2b86af67dbbeac27028f9bd0577a60e422457510ca586e5c"),
     ("aux-noncentered", "text", "261ed13024f618bffc5355c41177486e14a8b3f5e8ecc58c30d34ea351508d98"),
     ("aux-noncentered", "json", "03a60eda64a189ed39272f6b5c0623edabeb4bc9384787a524010e98737bac7a"),
     ("aux-noncentered", "csv", "9b93f419f58ae871fa0549f9fc99b89001c3684f64934d42a2a3a22db0c68ad7"),
@@ -540,12 +599,40 @@ CLI_GOLDENS = [
     ("aux-centered", "json", "15a98d9e175334968c679a2a150c6216e4456a4dddbea7fe3ac94d0d48b60a9b"),
     ("aux-centered", "csv", "6c8af126f15745c03da265a13b7952f9cfd4eeb84be7aca98f10f93348bf9254"),
     ("replicate", "text", "19f2226c0d7fb36c5ad1145056a0de2943859493e766d14ff150521b010f9e4a"),
+    ("replicate", "json", "a3cfd39ebe036e795eeeac1a4cdc5414a6235894b24373667015d165d90b8e1b"),
+    ("replicate", "csv", "dca0ee386f74d5e51daabc4989d30c4f3068a29f17f876a951c49b08955fbecc"),
+]
+# The JSON and CSV digests that moved with the inverse route, checked with
+# the guard shut.
+CLI_SVD_GOLDENS = [
+    ("belsley", "json", "eedd5d81f9b977dfe006fe6f294e9166ae505e41d4689251a7a951d422c7723a"),
+    ("belsley", "csv", "306e90cc5bc3e290523d5eb00412de08e847946d43ffa743f48d9ce26907045d"),
+    ("belsley-no-intercept", "json", "ad94bac58048cfb54145decb69b153b126a02ad6434f2baf5bdf5c8778444a65"),
+    ("belsley-no-intercept", "csv", "dfe35e6b56f05cd6c65b43547a48ea92c4f0e67e5296fa2758a63e63a43ff09f"),
+    ("belsley-threshold", "json", "fe9ccde14a072a3a5c3e5dbb51f69025915af2641ba831fc341791c66629b8ce"),
+    ("belsley-threshold", "csv", "5cda0aa8291708f31cbcc4f37af9a0def405ccb26144e140161cfba6d1cdb311"),
+    ("constant", "json", "47daa1a775b00320783f6c662d75d9cf944812afc9d967387b29649d3ee103b1"),
+    ("constant", "csv", "2b6d92113f4acecf23997caf46db032fee8f378b2f04add2d92d7abfc4c1fd83"),
+    ("replicate", "json", "b7bdcea90b583cab75e060cde5dd4ad0120e952ce6933817f2e56e1c7d9b6fe2"),
+    ("replicate", "csv", "b13c8d7b29481a9f017c5dad570f36d62228f523514c69bba00f7c2645e6a2cd"),
+]
+# The JSON and CSV digests pinned while the factor was R of `[1, D]` (see
+# `MONTECARLO_ONES_FIRST_GOLDENS`), under the guard open and shut.
+CLI_ONES_FIRST_GOLDENS = [
+    ("belsley", "json", "2f898eabc64d70872108c864b8099aee121fe60775696b6badedc9837892c1ae"),
+    ("belsley", "csv", "c1b10d4aec5b5e4bf2d631d2d8e933d561b86322a91e8fe2f252594d2273c5c1"),
+    ("belsley-no-intercept", "json", "52e0c714804f12dc9ced8361aaa14f57b740d4ed41c1a8e657e6701d426829c8"),
+    ("belsley-no-intercept", "csv", "3e707ef257d5aa1f12604dbf51683efab87739869e8651236a107f7a2dc086cb"),
+    ("belsley-threshold", "json", "b11e27e973a070ed2b01354b6a201190acc680d9d4e8f05405ba8717b6e0d6cf"),
+    ("belsley-threshold", "csv", "ddc1bbf5224be6d3340356ecc8473d31633f9d7061090603fdddea9f28377f43"),
+    ("collinear", "json", "4fc19e172f74aaaceeac5af92483a82f7ef1fd39dd2879be9f25ea6709baaca2"),
+    ("collinear", "csv", "61b256b6f1b262e2198b1cab2dc080d13635fe640223ddf6ee110fa585d95a01"),
+    ("constant", "json", "064746eb7ddfa914f850ca0acf446e52eb381f193be04211d1f4e35146c75dbd"),
+    ("constant", "csv", "79eac52ff18daf09570c3bed5e39dddc1e766cfae17590e232debfdd367a9f22"),
     ("replicate", "json", "0a850bc6d14d85527f97ec80e1679e761a5d750511803080d095fc667d5614f6"),
     ("replicate", "csv", "b3ca881296686ea075ba1da8e179fb13ad3dc013b42d6020d601815ef91a54b5"),
 ]
-# The JSON and CSV digests that moved with the inverse route, as pinned while
-# every design took the SVD route; checked with the guard shut.
-CLI_SVD_GOLDENS = [
+CLI_ONES_FIRST_SVD_GOLDENS = [
     ("belsley", "json", "fa13b8061b2d1e524b04f3f251130268bb1d5e1c79cfdfc5b95810448bfdb578"),
     ("belsley", "csv", "6aab10bb81c386b5358a249233233c9bca5d1f17e0d1aa8fde4ef7bc3aa06cad"),
     ("belsley-no-intercept", "json", "33ec0730a5ac4f2705cd5fe1a6a1037584c96bfbec4575dc7de04af187ec6be4"),
@@ -576,10 +663,12 @@ def golden_inputs(tmp_path, monkeypatch):
     save_csv(DataMatrix.from_columns(columns), tmp_path / "constant.csv")
 
 
-@pytest.mark.parametrize("case, fmt, digest, svd_only", golden_params(CLI_GOLDENS, CLI_SVD_GOLDENS))
-def test_cli_output_is_byte_identical(case, fmt, digest, svd_only, golden_inputs, capsys, monkeypatch):
-    if svd_only:
-        shut_inverse_route(monkeypatch)
+@pytest.mark.parametrize(
+    "case, fmt, digest, route",
+    golden_params(CLI_GOLDENS, CLI_SVD_GOLDENS, CLI_ONES_FIRST_GOLDENS, CLI_ONES_FIRST_SVD_GOLDENS),
+)
+def test_cli_output_is_byte_identical(case, fmt, digest, route, golden_inputs, capsys, monkeypatch):
+    take_route(monkeypatch, route)
     code, out, _ = run_cli(capsys, *CLI_CASES[case], "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -395,6 +395,21 @@ class TestGenerator:
         with pytest.raises(ValueError, match="variance"):
             GeneratorSpec(n=5, mean=0.0, variance=variance, seed=0)
 
+    @pytest.mark.parametrize(
+        "field, value", [("n", 2.5), ("n", 4.0), ("seed", 1.5), ("seed", "7"), ("seed", True)]
+    )
+    def test_spec_rejects_non_integer_size_and_seed(self, field, value):
+        # n = 2.5 failed deep in the generator, seed = 1.5 ran seed 1
+        fields = {"n": 4, "mean": 0.0, "variance": 1.0, "seed": 7, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            GeneratorSpec(**fields)
+
+    def test_spec_accepts_numpy_integers(self):
+        plain = generate_normal_column(GeneratorSpec(n=4, mean=0.0, variance=1.0, seed=7))
+        spec = GeneratorSpec(n=np.int32(4), mean=0.0, variance=1.0, seed=np.uint64(7))
+        numpy = generate_normal_column(spec)
+        assert np.array_equal(plain, numpy)
+
     def test_seed_wraps_to_64_bits(self):
         small = GeneratorSpec(n=4, mean=0.0, variance=1.0, seed=7)
         wrapped = GeneratorSpec(n=4, mean=0.0, variance=1.0, seed=7 + 2**64)
@@ -417,6 +432,13 @@ class TestSplitMix:
         rng = SplitMix64(4)
         draws = [rng.uniform() for _ in range(1000)]
         assert all(0.0 < u <= 1.0 for u in draws)
+
+    @pytest.mark.parametrize("args, field", [((1.5, 0), "master_seed"), ((1, 0.0), "index")])
+    def test_derive_seed_rejects_non_integers(self, args, field):
+        # derive_seed(1.5, 0) used to equal derive_seed(1, 0)
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            derive_seed(*args)
+        assert derive_seed(np.uint64(1), np.int64(0)) == derive_seed(1, 0)
 
     def test_derive_seed_order_independent(self):
         direct = derive_seed(42, 5)

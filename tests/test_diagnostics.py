@@ -1,5 +1,6 @@
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,8 +24,9 @@ from vifnc import (
     vif,
     vifnc,
 )
-from vifnc import diagnostics, montecarlo
+from vifnc import diagnostics, linalg, montecarlo
 from vifnc.diagnostics import _ratio_or_inf
+from vifnc.linalg import aux_rss
 from vifnc.errors import (
     ConstantRegressor,
     NoConstantColumn,
@@ -34,6 +36,8 @@ from vifnc.errors import (
 )
 
 from oracles import inverse_diagonal, mean, project_residual_rss, sum_of_squares
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
 
 def orthogonal_data():
@@ -482,7 +486,7 @@ class TestFullReport:
 
 
 class TestSharedFactor:
-    """Every diagnostic reads one factor of [1, D], D every column of the DataMatrix."""
+    """Every diagnostic reads one factor of [D, 1], D every column of the DataMatrix."""
 
     NAMES = ("x0", "x1", "x2", "near", "sum")
 
@@ -515,8 +519,16 @@ class TestSharedFactor:
             spec = ModelSpec("y", self.NAMES, intercept=intercept)
             full_report(data, spec)
             variance_factors(data, spec)
-            # one QR of [1, D] (D has 9 columns), then the kernel's two of 10-row blocks of R
-            assert shapes == [(data.n, 10), (10, 5), (10, 6)]
+            # one QR of [D, 1] (D has 9 columns), then one of R's 5 columns and ones column
+            assert shapes == [(data.n, 10), (10, 6)]
+
+    @pytest.mark.parametrize("config", ["essential", "independent", "nonessential"])
+    def test_run_scenario_takes_one_qr_of_the_stack(self, config, monkeypatch):
+        spec, _ = montecarlo.load_scenario_config(CONFIG_DIR / f"{config}.cfg")
+        shapes = self.qr_shapes(monkeypatch)
+        run_scenario(spec)
+        # every column is read, so both halves come off the factor of the stack itself
+        assert shapes == [(spec.replications, spec.n, montecarlo._KINDS[spec.kind][0] + 1)]
 
     def test_every_diagnostic_on_every_target_takes_one_qr_of_the_n_row_design(
         self, monkeypatch
@@ -553,6 +565,17 @@ class TestSharedFactor:
             assert all(shape[0] < data.n for shape in shapes), shapes
             monkeypatch.undo()
 
+    def test_a_half_takes_the_svd_route_only_when_read(self, monkeypatch):
+        data = self.tall_data()
+        spectral, shapes = linalg._spectral_rss, []
+        monkeypatch.setattr(linalg, "_spectral_rss", lambda r: shapes.append(r.shape) or spectral(r))
+        names = ("one",) + self.NAMES
+        # with an explicit ones column the centered half is singular, but the trick never reads it
+        intercept_trick(data, names)
+        assert shapes == []
+        full_report(data, ModelSpec("y", names, intercept=False))
+        assert shapes == [(1, 7, 7)]
+
     def test_replication_table_builds_one_factor(self, monkeypatch):
         built = []
 
@@ -573,8 +596,12 @@ class TestSharedFactor:
         rng = np.random.default_rng(n)
         stack = rng.normal(rng.uniform(-3, 3, 3), 2.0, (6, n, 3))
         stack[..., 1] = 7.0 + 1e-7 * rng.normal(size=(6, n))
+        # an exactly constant column: the centered half of any set holding it
+        # fails the guard and takes the SVD route, the through-origin half does not
+        stack[3, :, 1] = 7.0
         whole = diagnostics._Factor(stack)
-        reads = [(cols, centered) for cols in ([0, 1, 2], [2, 0]) for centered in (True, False)]
+        sets = ([0, 1, 2], [2, 0], [1, 2])
+        reads = [(cols, centered) for cols in sets for centered in (True, False)]
         for i, design in enumerate(stack):
             alone = diagnostics._Factor(design)
             for field in ("r", "xtx", "mean", "tss_c", "constant"):
@@ -583,6 +610,59 @@ class TestSharedFactor:
                 rss, rank = whole.rss(cols, centered)
                 rss_alone, rank_alone = alone.rss(cols, centered)
                 assert np.array_equal(rss[i], rss_alone) and rank[i] == rank_alone
+        for cols in sets:
+            rss_c, rank_c = whole.rss(cols, centered=True)
+            rss_nc, rank_nc = whole.rss(cols, centered=False)
+            # the constant column lies in the span of the ones column: its centered RSS is 0
+            assert rank_c.tolist() == [len(cols) + 1 - (i == 3 and 1 in cols) for i in range(6)]
+            assert rank_nc.tolist() == [len(cols)] * 6
+            assert (rss_c[3, cols.index(1)] == 0.0) if 1 in cols else np.all(rss_c[3] > 0.0)
+            for design, rss in zip(stack, rss_nc):
+                # the leading block of the factor against the kernel on the columns alone,
+                # within the bound the 50-digit sweep of test_aux_rss.py holds both to:
+                # 100 eps times the condition with unit-length columns
+                X = design[:, cols]
+                cond = np.linalg.cond(X / np.linalg.norm(X, axis=0))
+                assert rss == pytest.approx(aux_rss(X)[0], rel=100 * np.finfo(float).eps * cond)
+
+    @staticmethod
+    def mean_zero_designs(count=300):
+        """Designs whose centered and through-origin RSS nearly agree: every column has mean 0."""
+        rng = np.random.default_rng(0)
+        for _ in range(count):
+            n, k = int(rng.integers(12, 60)), int(rng.integers(2, 8))
+            X = rng.normal(size=(n, k))
+            yield X - X.mean(axis=0)
+
+    def test_centered_rss_never_exceeds_the_through_origin_one(self):
+        # g_c = g_nc + t^2 after rounding too, so the order holds to the bit on the
+        # inverse route; separate reads can break it by rounding where the means are 0
+        columns = 0
+        for X in self.mean_zero_designs():
+            k = X.shape[1]
+            names = ("y",) + tuple(f"x{i}" for i in range(k))
+            data = DataMatrix(names, np.column_stack([np.arange(len(X), dtype=float), X]))
+            for row in full_report(data, ModelSpec("y", names[1:])).rows:
+                assert row.rss_aux_centered <= row.rss_aux_noncentered
+                assert row.stewart_k2 >= row.vifnc
+            columns += k
+        assert columns == 1323
+
+    @pytest.mark.parametrize("config", ["essential", "independent", "nonessential"])
+    def test_centered_rss_never_exceeds_the_through_origin_one_on_a_stack(self, config):
+        spec, _ = montecarlo.load_scenario_config(CONFIG_DIR / f"{config}.cfg")
+        width = montecarlo._KINDS[spec.kind][0]
+        x = np.empty((spec.replications, spec.n, width))
+        indices = np.arange(spec.replications, dtype=np.uint64)
+        seeds = montecarlo._derive_seeds(spec.master_seed, indices)
+        montecarlo._generate(spec, seeds, x)
+        factor = diagnostics._Factor(x)
+        # every design of these stacks takes the inverse route in both halves
+        for _, _, kappa in linalg._halves(factor.r):
+            assert np.all(kappa < linalg._INVERSE_KAPPA)
+        rss_c = factor.rss(range(width), centered=True)[0][:, :width]
+        rss_nc = factor.rss(range(width), centered=False)[0]
+        assert np.all(rss_c <= rss_nc)
 
     def test_alternating_specs_match_a_fresh_matrix_bit_for_bit(self):
         data = self.tall_data()
@@ -629,7 +709,7 @@ class TestSharedFactor:
         data = self.tall_data()
         spec = ModelSpec("y", self.NAMES)
         one_pass = full_report(data, spec)
-        monkeypatch.setattr(diagnostics, "_FACTOR_BYTES", 64 * 10 * 8)  # 64 rows of [1, D]
+        monkeypatch.setattr(diagnostics, "_FACTOR_BYTES", 64 * 10 * 8)  # 64 rows of [D, 1]
         blocked = full_report(DataMatrix(data.names, data.values.copy()), spec)
         # both are backward stable: they differ by rounding, eps * cond with cond 2e5 here
         A = data.matrix(self.NAMES, intercept=True)

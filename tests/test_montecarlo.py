@@ -61,6 +61,24 @@ class TestScenarioSpec:
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
             ScenarioSpec(kind="independent", master_seed=1, **sizes)
 
+    @pytest.mark.parametrize("value", [1.5, 1.0, "1", True])
+    def test_master_seed_must_be_an_integer(self, value):
+        # 1.5 used to run seed 1 while the summary reported master_seed 1.5
+        with pytest.raises(ValueError, match="^master_seed must be an integer, got "):
+            ScenarioSpec(kind="independent", n=20, replications=5, master_seed=value)
+
+    def test_bool_sizes_are_not_integers(self):
+        # replications=True passed the check and failed in run_scenario's np.empty
+        with pytest.raises(ValueError, match="^replications must be an integer, got True"):
+            ScenarioSpec(kind="independent", n=20, replications=True, master_seed=1)
+
+    def test_numpy_integer_master_seed_is_accepted(self):
+        spec = ScenarioSpec(kind="independent", n=20, replications=3, master_seed=7)
+        numpy_seed = ScenarioSpec(
+            kind="independent", n=20, replications=3, master_seed=np.uint64(7)
+        )
+        assert run_scenario(numpy_seed).vif_stats == run_scenario(spec).vif_stats
+
     def test_numpy_integer_sizes_are_accepted(self):
         spec = ScenarioSpec(kind="independent", n=20, replications=3, master_seed=1)
         numpy_sizes = ScenarioSpec(
