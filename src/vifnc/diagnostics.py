@@ -65,7 +65,7 @@ from .errors import (
     ZeroColumn,
 )
 from .linalg import _guarded, _halves
-from .ols import INTERCEPT_NAME, DataMatrix, FitResult, ModelSpec, fit
+from .ols import INTERCEPT_NAME, DataMatrix, FitResult, ModelSpec, _distinct, fit
 
 #: Bytes of one design's ``[D, 1]`` that the factor takes at a time (see ``_Factor``).
 _FACTOR_BYTES = 1 << 20
@@ -148,10 +148,14 @@ class CollinearityReport:
 
 
 def _others(data: DataMatrix, j: str, regressors: Sequence[str] | None) -> tuple[str, ...]:
+    """The regressors of column ``j``: every other column, or those named.
+
+    Named ones must be distinct and exclude ``j``, as in a :class:`ModelSpec`.
+    """
     data.column(j)  # surface UnknownColumn for j itself first
     if regressors is None:
         return tuple(n for n in data.names if n != j)
-    return tuple(regressors)
+    return _distinct(regressors, j)
 
 
 def auxiliary_regression(
@@ -238,13 +242,13 @@ class _Factor:
         self._halves, self._rss = {}, {}
 
     def rss(self, positions: Sequence[int], centered: bool) -> tuple[np.ndarray, np.ndarray]:
-        """``aux_rss`` of the columns at ``positions``, in their given order, and the rank.
+        """Each column's RSS on the others at ``positions``, in their given order, and the rank.
 
         ``centered`` adds the ones column, its RSS last, for :meth:`read` and
         ``variance_factors``. Both halves of a column set come from one read of
         the factor, kept for the next call on the same set.
         """
-        # as aux_rss: an auxiliary regression of a design of `columns` needs `columns - 1` rows
+        # an auxiliary regression of a design of `columns` needs `columns - 1` rows (see linalg)
         rows, columns = self.r.shape[-2], len(positions) + centered
         if rows < columns - 1:
             message = f"{rows} observations cannot support {columns - 1} design columns"
@@ -374,12 +378,16 @@ def stewart_index(
     :func:`vifnc` stays within 3e-11 up to VIFnc 2e10. An exact relation cancels
     the RSS, a difference, to rounding noise rather than to 0 (``x = 2 z1 - 3 z2``
     read 1.5e15 to 9e15 on 120 of 300 draws), hence the floor :data:`_GRAM_FLOOR`.
+    With no regressors there is nothing to project on, and the index is 1.
     """
-    others = data.matrix(_others(data, j, regressors))
+    names = _others(data, j, regressors)
+    others = data.matrix(names) if names else None
     x = data.column(j)
     tss = float(x @ x)
     if tss == 0.0:
         raise ZeroColumn(f"column {j!r} is identically zero")
+    if others is None:
+        return 1.0  # nothing to project on: x'x / x'x
     gram = others.T @ others
     d = np.sqrt(np.diag(gram))
     d[d == 0.0] = 1.0  # a zero column keeps its zero row, and so the singular verdict
@@ -458,9 +466,10 @@ def intercept_trick(
     collinearity: treat the model as non-centered but keep the constant
     as an ordinary regressor, then run the through-origin auxiliary
     regressions within the set. The ones column must be present and
-    unique; it is never synthesized here.
+    unique; it is never synthesized here. A regressor named twice raises
+    ``ValueError``, as in a :class:`ModelSpec`.
     """
-    regressors = tuple(regressors)
+    regressors = _distinct(regressors)
     factor, positions = _factor_at(data, regressors)
     is_ones = factor.constant[positions] & (factor.mean[positions] == 1.0)
     ones = [name for name, one in zip(regressors, is_ones) if one]

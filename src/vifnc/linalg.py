@@ -7,13 +7,39 @@ through an orthogonal decomposition instead of the normal equations: the
 squared condition number of a Gram matrix would wipe out the digits the
 replication targets depend on.
 
+The kernel gives the RSS of every column of a design regressed on all the
+other columns, and fits no regression. The RSS depend on the design only
+through ``A'A``, so any triangular R with ``R'R = A'A`` gives them. It has
+one path: the diagnostics' factor forms R of ``[D_S, 1]`` for a column set
+S, :func:`_halves` reads the centered and through-origin RSS off one
+back-substitution of it, and :func:`_guarded` routes each half.
+
+1. The columns of R are scaled to unit length (the design's column norms
+   d), ``U = R D^-1``. The scaling makes the rank test and the weights
+   below independent of the columns' units (Belsley, Kuh & Welsch 1980,
+   ch. 3).
+2. Inverse route, for every design (:func:`_unit_inverse`). ``U`` is
+   triangular, so one back-substitution gives ``U^-1``; ``g_j``, the
+   squared norm of its row j, is ``[(U'U)^-1]_jj``, and
+   ``RSS_j = d_j^2 / g_j``. It also gives the Frobenius condition
+   ``kappa_F = sqrt(k * sum_j g_j)``.
+3. SVD route (:func:`_spectral_rss`), only for a design whose ``kappa_F``
+   is not below ``1e-3 / SCALED_RANK_RTOL`` (1e10), or not finite. It
+   reads the numerical rank, and a column with weight in the numerical
+   null space reads 0: it is an exact combination of the others.
+
 The solver and the kernel read the numerical rank the same way: from the
 SVD of the triangular factor with unit-length columns, cut at
-:data:`SCALED_RANK_RTOL`, so a column's units never move it. The kernel
-takes that SVD only for a design whose Frobenius condition, read off the
-inverse of the same factor, is not below ``1e-3 / SCALED_RANK_RTOL``;
-since it bounds the spectral condition, every other design has full rank
-on the SVD as well and reads its RSS off the inverse (see :func:`aux_rss`).
+:data:`SCALED_RANK_RTOL`, so a column's units never move it. Under the
+guard the SVD would find full rank as well (see :func:`_guarded`).
+
+Too few rows. An auxiliary regression of a design of k columns has k - 1
+regressors, so the diagnostics' factor raises
+:class:`~vifnc.errors.TooFewObservations` for a design of fewer than
+k - 1 rows. With exactly k - 1 rows every auxiliary regression is square,
+and a column the others span reads 0. Where R has fewer rows than
+columns, zero rows make it square; they leave ``R'R``, and so every RSS,
+unchanged.
 """
 
 from __future__ import annotations
@@ -26,7 +52,7 @@ from .errors import DimensionMismatch, NonFiniteInput, TooFewObservations
 
 #: A singular value of the design with unit-length columns below this
 #: fraction of the largest counts as zero (numerical rank test); in
-#: :func:`aux_rss` it also bounds the rounding in the null-space weights.
+#: :func:`_spectral_rss` it also bounds the rounding in the null-space weights.
 SCALED_RANK_RTOL = 1e-13
 
 
@@ -93,8 +119,8 @@ def _scaled_spectrum(r: np.ndarray):
     return norms, u, s, vh, np.count_nonzero(s > SCALED_RANK_RTOL * s[..., :1], axis=-1)
 
 
-#: :func:`aux_rss` takes the SVD route for a design whose Frobenius condition
-#: with unit-length columns is not below this bound. Under it, the smallest
+#: :func:`_guarded` sends a design whose Frobenius condition with unit-length
+#: columns is not below this bound to the SVD route. Under it, the smallest
 #: singular value is at least 1,000 times the rank cut.
 _INVERSE_KAPPA = 1e-3 / SCALED_RANK_RTOL
 
@@ -125,69 +151,13 @@ def _inverse_read(norms: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndar
         return norms * norms / g, np.sqrt(g.shape[-1] * g.sum(axis=-1))
 
 
-def _inverse_rss(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """RSS off the inverse of the triangular ``r`` with unit-length columns, and its condition.
-
-    With ``U = R D^-1``, ``g_j = [(U'U)^-1]_jj`` is the squared norm of row
-    j of ``U^-1`` (:func:`_unit_inverse`) and ``RSS_j = d_j^2 / g_j``. The
-    condition is Frobenius', ``||U||_F ||U^-1||_F = sqrt(k * sum_j g_j)``.
-    """
-    norms, inverse = _unit_inverse(r)
-    with np.errstate(all="ignore"):
-        return _inverse_read(norms, (inverse * inverse).sum(axis=-1))
-
-
 def _guarded(r: np.ndarray, rss: np.ndarray, kappa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The inverse route's ``rss`` and full rank, or the SVD route's where ``kappa`` fails.
 
-    The guard is ``kappa < _INVERSE_KAPPA``, which a NaN condition fails
-    too. Each design of a stack is routed alone.
-    """
-    rank = np.full(kappa.shape, r.shape[-1])
-    spectral = ~(kappa < _INVERSE_KAPPA)
-    if spectral.any():
-        rss[spectral], rank[spectral] = _spectral_rss(r[spectral])
-    return rss, rank[()]  # a scalar for one design
-
-
-def _spectral_rss(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """RSS and numerical rank off the SVD of ``r`` with unit-length columns; see :func:`aux_rss`."""
-    norms, _, s, vh, rank = _scaled_spectrum(r)
-    kept = np.arange(r.shape[-1]) < rank[..., None]
-    weights = vh * vh
-    inverse = np.divide(1.0, s * s, out=np.zeros_like(s), where=kept)
-    g = (inverse[..., None] * weights).sum(axis=-2)
-    null = (~kept[..., None] * weights).sum(axis=-2)
-    real = null > (SCALED_RANK_RTOL * s[..., :1]) ** 2 * g
-    return np.divide(norms * norms, g, out=np.zeros_like(g), where=~real), rank
-
-
-def aux_rss(design) -> tuple[np.ndarray, np.ndarray]:
-    """RSS of every column of ``design`` regressed on all the other columns.
-
-    ``design`` is one ``(n, k)`` matrix or an ``(R, n, k)`` stack of them;
-    the result is ``(rss, rank)`` with ``rss`` of shape ``(..., k)`` and
-    the numerical rank of shape ``(...)``. The RSS depend on the design
-    only through ``A'A``, so a triangular factor of a larger design gives
-    that design's RSS. No regression is fitted:
-
-    1. Householder R of the design (its singular values are the design's).
-    2. Columns of R scaled to unit length (the design's column norms d),
-       ``U = R D^-1``. The scaling makes the rank test and the weights
-       below independent of the columns' units (Belsley, Kuh & Welsch
-       1980, ch. 3).
-    3. Inverse route, for every design. ``U`` is triangular, so one
-       back-substitution gives ``U^-1``; ``g_j``, the squared norm of its
-       row j, is ``[(U'U)^-1]_jj``, and ``RSS_j = d_j^2 / g_j``. It also
-       gives the Frobenius condition ``kappa_F = sqrt(k * sum_j g_j)``.
-    4. SVD route, only for the designs with ``kappa_F`` not below
-       ``1e-3 / SCALED_RANK_RTOL`` (1e10), or not finite: the SVD
-       ``U = W S V'``, the numerical rank r counting singular values
-       above :data:`SCALED_RANK_RTOL` times the largest, and
-       ``g_j = sum_{i<=r} V_ji^2 / s_i^2``, the diagonal of the
-       pseudo-inverse of the scaled Gram matrix. A column with weight in
-       the numerical null space reads 0: it is an exact combination of
-       the others.
+    ``rss`` and ``kappa`` are a half of :func:`_halves`, read off the
+    triangle ``r``. The guard is ``kappa < _INVERSE_KAPPA``, which a NaN
+    condition fails too: a zero column or an exact relation makes ``U^-1``
+    inf or NaN.
 
     The guard keeps the routes' verdicts equal. ``s_1 / s_k = kappa_2 <=
     kappa_F``, so under the guard the smallest singular value is above
@@ -197,17 +167,31 @@ def aux_rss(design) -> tuple[np.ndarray, np.ndarray]:
     1,000 covers the rounding of both the computed ``kappa_F`` (relative
     error about k eps kappa_F, under 1e-5) and the computed singular
     values (about eps s_1 each). Each design of a stack takes its route
-    alone, so a design reads the same bits in a stack as by itself. A
-    zero column or an exact relation makes ``U^-1`` inf or NaN, which
-    fails the guard.
+    alone, so a design reads the same bits in a stack as by itself.
+    """
+    rank = np.full(kappa.shape, r.shape[-1])
+    spectral = ~(kappa < _INVERSE_KAPPA)
+    if spectral.any():
+        rss[spectral], rank[spectral] = _spectral_rss(r[spectral])
+    return rss, rank[()]  # a scalar for one design
+
+
+def _spectral_rss(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """RSS and numerical rank off the SVD of ``r`` with unit-length columns.
+
+    With ``U = R D^-1 = W S V'``, the numerical rank r counts singular
+    values above :data:`SCALED_RANK_RTOL` times the largest, and
+    ``g_j = sum_{i<=r} V_ji^2 / s_i^2`` is the diagonal of the
+    pseudo-inverse of ``U'U``; ``RSS_j = d_j^2 / g_j``. A column with
+    weight in the numerical null space reads 0, and a zero column reads 0
+    without being divided by its norm.
 
     The null-space weight of column j is ``w_j = sum_{i>r} V_ji^2``.
     Rounding perturbs the factor by about ``eps * s_1``, which turns the
     computed null space towards the kept directions and puts on column j
     a weight of order ``(eps * s_1)^2 * g_j`` (first-order perturbation
     of the singular vectors). A weight counts as real only above
-    ``(SCALED_RANK_RTOL * s_1)^2 * g_j``. A zero column reads 0 without
-    being divided by its norm.
+    ``(SCALED_RANK_RTOL * s_1)^2 * g_j``.
 
     Both cut-offs rest on the sweep in ``tests/test_aux_rss.py``, which
     holds the kernel to a 50-digit projection:
@@ -224,23 +208,15 @@ def aux_rss(design) -> tuple[np.ndarray, np.ndarray]:
       that scale. A fixed cut such as 1e-26 instead zeroes the columns of
       a near relation at condition 1e4 once the design also holds an
       exact relation elsewhere.
-
-    Raises
-    ------
-    TooFewObservations
-        If a design has fewer rows than the k - 1 columns of each
-        auxiliary regression. With exactly k - 1 rows every auxiliary
-        regression is square, and a column the others span reads 0.
     """
-    a = np.asarray(design, dtype=float)
-    n, k = a.shape[-2:]
-    if n < k - 1:
-        raise TooFewObservations(f"{n} observations cannot support {k - 1} design columns")
-    if n < k:
-        # a zero row leaves A'A, and so every RSS, unchanged and makes R square
-        a = np.concatenate([a, np.zeros(a.shape[:-2] + (1, k))], axis=-2)
-    r = np.linalg.qr(a, mode="r")
-    return _guarded(r, *_inverse_rss(r))
+    norms, _, s, vh, rank = _scaled_spectrum(r)
+    kept = np.arange(r.shape[-1]) < rank[..., None]
+    weights = vh * vh
+    inverse = np.divide(1.0, s * s, out=np.zeros_like(s), where=kept)
+    g = (inverse[..., None] * weights).sum(axis=-2)
+    null = (~kept[..., None] * weights).sum(axis=-2)
+    real = null > (SCALED_RANK_RTOL * s[..., :1]) ** 2 * g
+    return np.divide(norms * norms, g, out=np.zeros_like(g), where=~real), rank
 
 
 def _halves(r: np.ndarray):
@@ -249,11 +225,11 @@ def _halves(r: np.ndarray):
     ``r`` is R of ``[D, 1] = QR`` (or of a matrix with the same ``A'A``),
     D of k columns and the ones column last. Its leading k x k block is R
     of D, and the inverse of that block is the leading block of ``U^-1``.
-    So one back-substitution (:func:`_unit_inverse`) gives both halves of
-    :func:`aux_rss`: ``g_nc,j``, row j's squared norm up to the ones
-    column, for D's through-origin RSS, and ``g_c,j = g_nc,j + t_j^2``,
-    with ``t_j`` that row's entry in the ones column, for the centered RSS
-    of the k + 1 columns of ``[D, 1]``. Since ``g_c,j >= g_nc,j`` after
+    So one back-substitution (:func:`_unit_inverse`) gives both of the
+    paper's auxiliary regressions: ``g_nc,j``, row j's squared norm up to
+    the ones column, for D's through-origin RSS, and
+    ``g_c,j = g_nc,j + t_j^2``, with ``t_j`` that row's entry in the ones
+    column, for the centered RSS of the k + 1 columns of ``[D, 1]``. Since ``g_c,j >= g_nc,j`` after
     rounding too, ``rss_c <= rss_nc`` holds exactly wherever both halves
     take the inverse route.
 
@@ -273,7 +249,7 @@ def _halves(r: np.ndarray):
 def solve_least_squares(A, b) -> LeastSquaresSolution:
     """Solve ``min ||A x - b||`` by Householder QR with rank detection.
 
-    The numerical rank is the kernel's (see :func:`aux_rss`): singular
+    The numerical rank is the kernel's (see :func:`_spectral_rss`): singular
     values of the triangular factor with unit-length columns, cut at
     :data:`SCALED_RANK_RTOL` times the largest, so rescaling a column does
     not change it.

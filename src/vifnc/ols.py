@@ -112,11 +112,17 @@ class ModelSpec:
         regressors = tuple(self.regressors)
         if not regressors:
             raise ValueError("model needs at least one regressor")
-        if len(set(regressors)) != len(regressors):
-            raise ValueError("duplicate regressor names")
-        if self.dependent in regressors:
-            raise ValueError("dependent variable cannot also be a regressor")
-        object.__setattr__(self, "regressors", regressors)
+        object.__setattr__(self, "regressors", _distinct(regressors, self.dependent))
+
+
+def _distinct(regressors: Iterable[str], dependent: str | None = None) -> tuple[str, ...]:
+    """``regressors`` as a tuple; ``ValueError`` for a name given twice or named ``dependent``."""
+    regressors = tuple(regressors)
+    if len(set(regressors)) != len(regressors):
+        raise ValueError("duplicate regressor names")
+    if dependent in regressors:
+        raise ValueError("dependent variable cannot also be a regressor")
+    return regressors
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,12 @@
 """The auxiliary-RSS kernel against a 50-digit projection, across a conditioning sweep.
 
-``aux_rss`` reads the RSS of every column on all the others off one QR
-factor with unit-length columns: off its inverse where the factor's
-Frobenius condition is under the guard (``_INVERSE_KAPPA``, 1e10), off
-its SVD elsewhere. The reference here projects each column on the span
-of the others by twice-iterated modified Gram-Schmidt in 50-digit
-``mpmath`` arithmetic, dropping a column whose residual is below 1e-30
-of its norm (an exact relation).
+The diagnostics read the RSS of every column on all the others off one QR
+factor with unit-length columns, R of ``[D_S, 1]`` for a column set S:
+off its inverse where the factor's Frobenius condition is under the guard
+(``_INVERSE_KAPPA``, 1e10), off its SVD elsewhere. The reference here
+projects each column on the span of the others by twice-iterated modified
+Gram-Schmidt in 50-digit ``mpmath`` arithmetic, dropping a column whose
+residual is below 1e-30 of its norm (an exact relation).
 
 The sweep draws n from 8 to 30 and k from 3 to 6, scales each column by
 10^U(-6, 6), and plants one relation among the columns:
@@ -24,48 +24,49 @@ The sweep draws n from 8 to 30 and k from 3 to 6, scales each column by
   condition 1e4 up.
 
 Routes. Every design is checked three times, against the same reference
-and bounds: on the direct route ``aux_rss(X)``; on the factor route, the
+and bounds. On the factor route, ``_Factor(X).rss``, X's RSS are the
 through-origin half that ``_halves`` reads off the leading block of R of
-``[X, 1]`` (``X = Q R[:k, :k]``); and on the subset route, which is how
-every VIF, VIFnc and report row reads the kernel: X sits among three
-extra columns of mixed scale, in shuffled order, in a DataMatrix D, and
-its RSS are the through-origin half of R of ``[D_S, 1]``, taken from R
-of ``[D, 1]`` at S, the positions of X's columns in D, and the ones
-column. The factor route's centered half, the RSS of every column of
-``[X, 1]``, is checked against the reference of those k + 1 columns with
-the bound of ``[X, 1]``. Each design is also checked on the two
-private routes of the kernel alone, on R of X: the SVD route
-(``_spectral_rss``) on every design, and the inverse route
-(``_inverse_rss``) on every design under the guard. Such a design must
-hold no relation the rank cut would remove, and the SVD route must give
-it rank k and no zero RSS as well. Of the 63 designs here, the 20 near
-relations at condition 1e2 .. 1e8 are under the guard (computed
-``kappa_F`` at most 1.7 times the condition), and the rest are above it
+``[X, 1]`` (``X = Q R[:k, :k]``). On the subset route, which is how every
+VIF, VIFnc and report row reads the kernel, X sits among three extra
+columns of mixed scale, in shuffled order, in a DataMatrix D, and its RSS
+are the through-origin half of R of ``[D_S, 1]``, taken from R of
+``[D, 1]`` at S, the positions of X's columns in D, and the ones column.
+On the spectral route the SVD route (``_spectral_rss``) reads R of X
+alone, whatever the guard would pick. The factor route's centered half,
+the RSS of every column of ``[X, 1]``, is checked against the reference
+of those k + 1 columns with the bound of ``[X, 1]``. A design under the
+guard is also checked on the inverse route alone: the through-origin
+``(triangle, rss, kappa)`` of ``_halves`` on R of ``[X, 1]``. Such a
+design must hold no relation the rank cut would remove, and the SVD route
+must give it rank k and no zero RSS as well. Of the 63 designs here, the
+20 near relations at condition 1e2 .. 1e8 are under the guard (computed
+``kappa_F`` at most 1.6 times the condition), and the rest are above it
 (2.4e10 at the least, 6e15 beside an exact relation).
 
 Tolerance. A backward-stable route gets an RSS to about eps times the
 condition of the kept part of the spectrum. While the kernel took the
 SVD of every design, over 340 designs from these generators, the 63 of
-this file among them, the worst error on the direct and the factor route
-(then ``aux_rss`` on R of ``[1, X]``) was 1.6 and 2.3 eps * cond where
-every relation was kept, 2.0 and 2.5 eps * cond beside an exact
-relation, and 4.4 and 4.8 eps * cond where a near relation at 1e14 was
-cut. On R of ``[X, 1]``, the 63 designs here gave at most 1.0, 1.1 and
-3.9 eps * cond on the through-origin half and 0.96, 2.1 and 2.8 on the
-centered half, in the same three classes. An earlier 350-design
-run of the direct route reached 2.1, 7.4 and 11.5 eps * cond. On the
-subset route, 315 designs of these generators (the 63 among them) gave
-at most 6.3, 12.0 and 9.0 eps * cond in the same three classes. On the
-private routes, 495 designs (the 63 among them) gave at most 0.89 eps *
-cond on the inverse route (the 180 under the guard, all with every
-relation kept) and 4.8, 3.9 and 7.1 eps * cond on the SVD route in the
-three classes.
+this file among them, the worst error of the kernel on X and on R of
+``[1, X]`` was 1.6 and 2.3 eps * cond where every relation was kept, 2.0
+and 2.5 eps * cond beside an exact relation, and 4.4 and 4.8 eps * cond
+where a near relation at 1e14 was cut. On R of ``[X, 1]``, the 63 designs
+here gave at most 1.0, 1.1 and 3.9 eps * cond on the through-origin half
+(the factor route) and 0.96, 2.1 and 2.8 on the centered half, in the
+same three classes. An earlier 350-design run of the kernel on X reached
+2.1, 7.4 and 11.5 eps * cond. On the subset route, 315 designs of these
+generators (the 63 among them) gave at most 6.3, 12.0 and 9.0 eps * cond
+in the same three classes. On the SVD route alone, 495 designs (the 63
+among them) gave at most 4.8, 3.9 and 7.1 eps * cond in the three
+classes. On the inverse route alone, the same 495 designs gave at most
+0.89 eps * cond on R of X (the 180 under the guard, all with every
+relation kept), and the 20 here under the guard 1.02 eps * cond on the
+leading block of R of ``[X, 1]``.
 TOL_FACTOR = 100 leaves an 8x margin over the worst of these; a defect
 such as a missing rescale or a wrong null-weight rule moves an RSS by
 orders of magnitude or to 0.
 
-The same designs fix the kernel's two cut-offs (see ``aux_rss``): the
-numerical rank at 1e-13 of the largest singular value, and the
+The same designs fix the kernel's two cut-offs (see ``_spectral_rss``):
+the numerical rank at 1e-13 of the largest singular value, and the
 null-weight rule ``w_j > (1e-13 s_1)^2 g_j``, a factor (1e-13/eps)^2 =
 2e5 above ``(eps s_1)^2 g_j``. Columns outside a relation carried at
 most 169 (eps s_1)^2 g_j of null weight (15 beside an exact relation),
@@ -81,17 +82,9 @@ import numpy as np
 import pytest
 
 from vifnc import DataMatrix, ScenarioSpec, run_scenario, vifnc
-from vifnc.diagnostics import _factor
+from vifnc.diagnostics import _Factor, _factor
 from vifnc.errors import TooFewObservations
-from vifnc.linalg import (
-    _INVERSE_KAPPA,
-    SCALED_RANK_RTOL,
-    _guarded,
-    _halves,
-    _inverse_rss,
-    _spectral_rss,
-    aux_rss,
-)
+from vifnc.linalg import _INVERSE_KAPPA, SCALED_RANK_RTOL, _halves, _spectral_rss
 
 from test_montecarlo import one_replication
 
@@ -187,14 +180,14 @@ def with_ones(X):
     return np.column_stack([X, np.ones(len(X))])
 
 
-def factor_halves(X):
-    """Both halves of ``_halves`` on R of ``[X, 1] = QR``, routed as the diagnostics route them."""
-    return [_guarded(*half) for half in _halves(np.linalg.qr(with_ones(X), mode="r"))]
+def factor_route(X, centered=False):
+    """The RSS of every column of X on the others, and the rank, as the diagnostics read them.
 
-
-def factor_route(X):
-    """X's RSS off the leading block of R of ``[X, 1]``: the through-origin half."""
-    return factor_halves(X)[1]
+    The factor of X alone is R of ``[X, 1]``. Through the origin, X's RSS
+    are the half off its leading block; ``centered``, the RSS of every
+    column of ``[X, 1]``, the ones column last.
+    """
+    return _Factor(X).rss(range(X.shape[-1]), centered)
 
 
 def subset_route(X):
@@ -218,7 +211,6 @@ def spectral_route(X):
 
 
 ROUTES = {
-    "direct": aux_rss,
     "factor": factor_route,
     "subset": subset_route,
     "spectral": spectral_route,
@@ -244,7 +236,7 @@ def check_centered_half(X, columns, zero):
     """The centered half of the factor route: every column of ``[X, 1]`` on the others."""
     A = with_ones(X)
     reference = reference_rss(columns + [as_mp(A[:, -1])])
-    rss, rank = factor_halves(X)[0]
+    rss, rank = factor_route(X, centered=True)
     assert rank == A.shape[1] - (1 if zero else 0)
     bound = TOL_FACTOR * EPS * kept_condition(A, rank)
     for j in range(A.shape[1]):
@@ -255,13 +247,12 @@ def check_centered_half(X, columns, zero):
 
 
 def check_inverse_route(X, reference, zero):
-    """The inverse route alone on R of X, for a design under the guard.
+    """The inverse route alone, through the origin on R of ``[X, 1]``, for a design under the guard.
 
     Such a design must have no relation to cut, match the reference, and
     get rank k and no zero RSS on the SVD route as well.
     """
-    r = np.linalg.qr(X, mode="r")
-    rss, kappa = _inverse_rss(r)
+    r, rss, kappa = _halves(np.linalg.qr(with_ones(X), mode="r"))[1]
     if not kappa < _INVERSE_KAPPA:
         return
     assert not zero, "a relation under the rank cut passed the guard"
@@ -298,7 +289,7 @@ def cond_4e16_design(n=20, seed=4):
 def test_relation_at_rounding_level_reads_zero():
     X = cond_4e16_design()
     assert np.linalg.cond(X) > 1e16
-    rss, rank = aux_rss(X)
+    rss, rank = factor_route(X)
     assert rank == 3
     assert rss[[0, 2, 3]].tolist() == [0.0, 0.0, 0.0]
     # a lies outside the relation: its RSS is that of a on [1, c]
@@ -310,7 +301,7 @@ def test_partial_duplicate_leaves_the_other_column_exact():
     rng = np.random.default_rng(11)
     x1, x3 = rng.normal(3.0, 1.0, 20), rng.normal(-1.0, 2.0, 20)
     X = np.column_stack([np.ones(20), x1, 2.0 * x1, x3])
-    rss, rank = aux_rss(X)
+    rss, rank = factor_route(X)
     assert rank == 3
     assert rss[[1, 2]].tolist() == [0.0, 0.0]
     _, residual, *_ = np.linalg.lstsq(X[:, :2], x3, rcond=None)
@@ -321,8 +312,8 @@ def test_zero_column_among_others_is_not_divided_by():
     rng = np.random.default_rng(2)
     a, c = rng.normal(size=12), rng.normal(size=12)
     with np.errstate(all="raise"):
-        rss, rank = aux_rss(np.column_stack([a, np.zeros(12), c]))
-        alone, _ = aux_rss(np.column_stack([a, c]))
+        rss, rank = factor_route(np.column_stack([a, np.zeros(12), c]))
+        alone, _ = factor_route(np.column_stack([a, c]))
     assert rank == 2
     assert rss[1] == 0.0
     assert rss[[0, 2]] == pytest.approx(alone, rel=1e-13)
@@ -332,10 +323,10 @@ def test_stack_matches_one_design_at_a_time():
     rng = np.random.default_rng(9)
     stack = rng.normal(4.0, 4.0, (6, 15, 3))
     stack[2, :, 2] = stack[2, :, 0]  # one replication with a duplicate column
-    rss, rank = aux_rss(stack)
+    rss, rank = factor_route(stack)
     assert rss.shape == (6, 3) and rank.shape == (6,)
     for design, row, r in zip(stack, rss, rank):
-        single, single_rank = aux_rss(design)
+        single, single_rank = factor_route(design)
         assert single_rank == r
         assert row.tolist() == single.tolist()
 
@@ -348,15 +339,16 @@ def test_stack_takes_each_route_design_by_design():
     stack[2, :, 2] = relation[2] + 1e-11 * rng.normal(size=15)  # near relation above it, kept
     stack[3, :, 2] = relation[3]  # exact relation
     stack[4, :, 1] = 0.0  # zero column
-    r = np.linalg.qr(stack, mode="r")
-    inverse, kappa = _inverse_rss(r)
+    with np.errstate(all="raise"):
+        factor = _Factor(stack)
+        # the through-origin half of R of [X, 1] on the inverse route alone
+        triangle, inverse, kappa = _halves(factor.r)[1]
+        rss, rank = factor.rss(range(3), centered=False)
+        singles = [factor_route(design) for design in stack]
     fast = kappa < _INVERSE_KAPPA
     assert fast.tolist() == [True, True, False, False, False, True]
-    with np.errstate(all="raise"):
-        rss, rank = aux_rss(stack)
-        singles = [aux_rss(design) for design in stack]
     assert rss[fast].tolist() == inverse[fast].tolist()
-    assert rss[~fast].tolist() == _spectral_rss(r[~fast])[0].tolist()
+    assert rss[~fast].tolist() == _spectral_rss(triangle[~fast])[0].tolist()
     assert rank.tolist() == [3, 3, 3, 2, 2, 3]
     assert rss[3].tolist() == [0.0, 0.0, 0.0] and rss[4, 1] == 0.0
     for row, design_rank, (single, single_rank) in zip(rss, rank, singles):
@@ -371,17 +363,17 @@ def test_rank_cut_follows_the_scaled_spectrum():
     near = x @ [1.0, 2.0] + 1e-11 * rng.normal(size=30)
     for scale in (1e-6, 1.0, 1e6):
         X = np.column_stack([x, scale * near])
-        assert aux_rss(X)[1] == 3
+        assert factor_route(X)[1] == 3
     assert SCALED_RANK_RTOL < 1e-12
 
 
 def test_too_few_observations():
     rng = np.random.default_rng(1)
     # two rows, three columns: every auxiliary regression is square and fits exactly
-    rss, rank = aux_rss(rng.normal(size=(2, 3)))
+    rss, rank = factor_route(rng.normal(size=(2, 3)))
     assert rank == 2 and rss.tolist() == [0.0, 0.0, 0.0]
     with pytest.raises(TooFewObservations):
-        aux_rss(rng.normal(size=(2, 4)))
+        factor_route(rng.normal(size=(2, 4)))
 
 
 @pytest.mark.parametrize("noise_sd", [1e-6, 1e-7, 1e-9, 1e-11])

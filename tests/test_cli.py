@@ -460,7 +460,7 @@ MONTECARLO_GOLDENS = [
     ("nonessential", "json", "0721e6c409cb8d31e2c148fe26ec982441fbe34f2f10c2f5e45cb366947ec04c"),
     ("nonessential", "csv", "3ff05bf9965013641bc45970253ce449e129e0391f332d09f8b18c0b509759d0"),
 ]
-# The JSON and CSV digests with the guard of `aux_rss` shut, so that every
+# The JSON and CSV digests with the kernel's guard shut, so that every
 # design takes the SVD route.
 MONTECARLO_SVD_GOLDENS = [
     ("essential", "json", "1e2ee26e759e5c1e571b0aa5f8dd4e742d8baba48f1b8bed23053a35be76a289"),
@@ -472,8 +472,8 @@ MONTECARLO_SVD_GOLDENS = [
 ]
 # The JSON and CSV digests pinned while the factor was R of `[1, D]`, under
 # the guard open and shut. `OnesFirstFactor` reads each half as every
-# diagnostic read it then, with `aux_rss` on R's columns, and must still
-# print those bytes: nothing but the factor's layout moved them.
+# diagnostic read it then, with a kernel call of its own on R's columns, and
+# must still print those bytes: nothing but the factor's layout moved them.
 MONTECARLO_ONES_FIRST_GOLDENS = [
     ("essential", "json", "f587e5993f8707db25975d545c970bfbb67d9714c9e2f91015c7fc3b75da2e9c"),
     ("essential", "csv", "7a819ec937694e1c6ad066c39ccd74a1bf8b6286a87c5d21ef3e5201c5dac043"),
@@ -495,9 +495,11 @@ MONTECARLO_ONES_FIRST_SVD_GOLDENS = [
 class OnesFirstFactor(diagnostics._Factor):
     """The factor as laid out before the ones column went last, for designs of one row block.
 
-    ``r`` is R of ``[1, D]``, and a column set S is read with ``aux_rss`` on
-    ``R[:, [0] + S]`` (centered) or ``R[:, S]`` (through the origin), each
-    with its own QR, back-substitution and guard.
+    ``r`` is R of ``[1, D]``, and a column set S is read off ``R[:, [0] + S]``
+    (centered) or ``R[:, S]`` (through the origin), each with its own QR,
+    back-substitution and guard. The full half of ``_halves`` on R of those
+    columns is that read to the bit: its sums run in the old order below
+    8 columns, and these designs have at most 6.
     """
 
     def __init__(self, values):
@@ -507,7 +509,8 @@ class OnesFirstFactor(diagnostics._Factor):
 
     def rss(self, positions, centered):
         lead = int(centered)
-        rss, rank = linalg.aux_rss(self.r[..., [0] * lead + [p + 1 for p in sorted(positions)]])
+        cols = self.r[..., [0] * lead + [p + 1 for p in sorted(positions)]]
+        rss, rank = linalg._guarded(*linalg._halves(np.linalg.qr(cols, mode="r"))[0])
         rss = np.roll(rss, -lead, axis=-1)  # the ones column last, as `_Factor.rss` puts it
         out = rss.copy()
         out[..., np.argsort(positions, kind="stable")] = rss[..., : len(positions)]
@@ -527,7 +530,7 @@ def golden_params(*tables):
 
 
 def take_route(monkeypatch, route):
-    """Shut the guard of `aux_rss` on the SVD routes; lay the factor out as `[1, D]` on the old ones."""
+    """Shut the kernel's guard on the SVD routes; lay the factor out as `[1, D]` on the old ones."""
     if route.endswith("svd"):
         monkeypatch.setattr(linalg, "_INVERSE_KAPPA", 0.0)  # no condition is below 0
     if route.startswith("ones-first"):

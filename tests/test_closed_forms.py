@@ -37,7 +37,7 @@ from vifnc import (
     vif,
     vifnc,
 )
-from vifnc.linalg import aux_rss
+from vifnc.diagnostics import _Factor
 
 from oracles import project_residual_rss
 
@@ -174,12 +174,13 @@ def test_through_origin_variance_factors_match_the_kernel_on_x(seed, n, k, noise
     leading block of R of ``[D_S, 1]``, taken from R of ``[D, 1]`` at the
     columns S, with D every column of the matrix (y and the ones column
     among them). That block is a backward-stable factor of X, so it agrees
-    with the kernel on X to a few eps times the condition of X with
-    unit-length columns: 6,000 designs of this sweep gave at most 5.3 eps
+    with the kernel on X alone, the through-origin half of R of ``[X, 1]``
+    (``_Factor(X).rss``), to a few eps times the condition of X with
+    unit-length columns: 6,000 designs of this sweep gave at most 4.9 eps
     * cond on zero-mean columns (cond below 10) and 4.5 eps * cond on the
-    others (39 and 11 while S was read off R of ``[1, D]`` by a QR of
-    ``R[:, S]``), and a value reads ``inf`` exactly where the kernel on X
-    reads RSS 0.
+    others (5.3 and 4.5 against a factor of X itself, 39 and 11 while S
+    was read off R of ``[1, D]`` by a QR of ``R[:, S]``), and a value reads
+    ``inf`` exactly where the kernel on X alone reads RSS 0.
     The gap is within 1e-10 up to cond 4.5e3; above that (planted
     relations at noise 1e-3 and below, cond up to 6e7) the bound
     100 eps * cond takes over.
@@ -189,7 +190,8 @@ def test_through_origin_variance_factors_match_the_kernel_on_x(seed, n, k, noise
     def kernel_on(regressors):
         X = data.matrix(regressors)
         cond = np.linalg.cond(X / np.linalg.norm(X, axis=0))
-        return X, aux_rss(X)[0], max(1e-10, 100.0 * np.finfo(float).eps * cond)
+        rss = _Factor(X).rss(range(X.shape[1]), centered=False)[0]
+        return X, rss, max(1e-10, 100.0 * np.finfo(float).eps * cond)
 
     X, rss, rtol = kernel_on(names)
     factors = variance_factors(data, ModelSpec("y", names, intercept=False))

@@ -26,7 +26,6 @@ from vifnc import (
 )
 from vifnc import diagnostics, linalg, montecarlo
 from vifnc.diagnostics import _ratio_or_inf
-from vifnc.linalg import aux_rss
 from vifnc.errors import (
     ConstantRegressor,
     NoConstantColumn,
@@ -212,6 +211,40 @@ class TestStewartDecomposition:
     def test_constant_column_rejected(self, belsley_data):
         with pytest.raises(ConstantRegressor):
             stewart_decomposition(belsley_data, "X1", ["X2"])
+
+
+class TestColumnSets:
+    """A named column set is checked as a ModelSpec checks its regressors, and may be empty."""
+
+    PER_COLUMN = (vif, vifnc, stewart_index, stewart_decomposition)
+
+    @pytest.mark.parametrize("function", PER_COLUMN)
+    def test_target_among_its_own_regressors_raises(self, belsley_data, function):
+        for regressors in (["X2"], ["X3", "X2"]):
+            with pytest.raises(ValueError, match="dependent variable cannot also be a regressor"):
+                function(belsley_data, "X2", regressors)
+
+    @pytest.mark.parametrize("function", PER_COLUMN)
+    def test_repeated_regressor_raises(self, belsley_data, function):
+        with pytest.raises(ValueError, match="duplicate regressor names"):
+            function(belsley_data, "X2", ["X3", "X3"])
+
+    def test_auxiliary_regression_raises_the_same(self, belsley_data):
+        for regressors, message in ((["X2"], "dependent variable"), (["X3", "X3"], "duplicate")):
+            with pytest.raises(ValueError, match=message):
+                auxiliary_regression(belsley_data, "X2", regressors, AuxiliaryMode.CENTERED)
+
+    def test_intercept_trick_rejects_a_repeated_regressor(self, belsley_data):
+        with pytest.raises(ValueError, match="duplicate regressor names"):
+            intercept_trick(belsley_data, ["X1", "X2", "X2"])
+
+    def test_no_regressors_leave_nothing_to_project_on(self, belsley_data):
+        # the RSS is the TSS itself: x'x / x'x and TSS_c / TSS_c
+        assert stewart_index(belsley_data, "X2", []) == 1.0
+        assert vifnc(belsley_data, "X2", []) == pytest.approx(1.0, rel=1e-15)
+        assert vif(belsley_data, "X2", []) == pytest.approx(1.0, rel=1e-15)
+        vif_part, term = stewart_decomposition(belsley_data, "X2", [])
+        assert vif_part == pytest.approx(1.0, rel=1e-15) and term > 0.0
 
 
 class TestIdentityChain:
@@ -511,6 +544,20 @@ class TestSharedFactor:
         monkeypatch.setattr(np.linalg, "qr", counting)
         return shapes
 
+    @staticmethod
+    def kernel_calls(monkeypatch):
+        """How often the factor's ``_halves`` and the back-substitution in it run from now on."""
+        calls = {}
+        for module, name in ((diagnostics, "_halves"), (linalg, "_unit_inverse")):
+            calls[name], original = 0, getattr(module, name)
+
+            def counting(r, name=name, original=original):
+                calls[name] += 1
+                return original(r)
+
+            monkeypatch.setattr(module, name, counting)
+        return calls
+
     def test_report_then_factors_take_one_qr_of_the_n_row_design(self, monkeypatch):
         shapes = self.qr_shapes(monkeypatch)
         for intercept in (True, False):
@@ -526,15 +573,19 @@ class TestSharedFactor:
     def test_run_scenario_takes_one_qr_of_the_stack(self, config, monkeypatch):
         spec, _ = montecarlo.load_scenario_config(CONFIG_DIR / f"{config}.cfg")
         shapes = self.qr_shapes(monkeypatch)
+        calls = self.kernel_calls(monkeypatch)
         run_scenario(spec)
         # every column is read, so both halves come off the factor of the stack itself
         assert shapes == [(spec.replications, spec.n, montecarlo._KINDS[spec.kind][0] + 1)]
+        # and off one back-substitution of it
+        assert calls == {"_halves": 1, "_unit_inverse": 1}
 
     def test_every_diagnostic_on_every_target_takes_one_qr_of_the_n_row_design(
         self, monkeypatch
     ):
         data = self.tall_data()
         shapes = self.qr_shapes(monkeypatch)
+        calls = self.kernel_calls(monkeypatch)
         for intercept in (True, False):
             spec = ModelSpec("y", self.NAMES, intercept=intercept)
             full_report(data, spec)
@@ -547,6 +598,11 @@ class TestSharedFactor:
                 vif(data, j, others)
                 stewart_decomposition(data, j, others)
         assert [shape for shape in shapes if shape[0] == data.n] == [(data.n, 10)]
+        # one back-substitution per column set, read for both halves and every call on it:
+        # the model's regressors, the trick's, and every column of the matrix
+        column_sets = {frozenset(cols) for cols in (self.NAMES, ("one",) + self.NAMES, data.names)}
+        assert calls["_halves"] == len(column_sets)
+        assert calls["_unit_inverse"] == calls["_halves"]
 
     def test_per_column_calls_on_the_last_regressor_read_the_report_factor(self, monkeypatch):
         # and so do the calls on every other target: each equals its report row to the bit
@@ -623,7 +679,8 @@ class TestSharedFactor:
                 # 100 eps times the condition with unit-length columns
                 X = design[:, cols]
                 cond = np.linalg.cond(X / np.linalg.norm(X, axis=0))
-                assert rss == pytest.approx(aux_rss(X)[0], rel=100 * np.finfo(float).eps * cond)
+                kernel = diagnostics._Factor(X).rss(range(len(cols)), centered=False)[0]
+                assert rss == pytest.approx(kernel, rel=100 * np.finfo(float).eps * cond)
 
     @staticmethod
     def mean_zero_designs(count=300):

@@ -20,7 +20,8 @@ The sweep holds designs on both of the kernel's routes: near relations up
 to condition 1e8 read off the inverse, the rest off the SVD. Where two
 values come from different roundings, they may differ by the kernel's
 error, bounded as in ``test_aux_rss.py`` by TOL_FACTOR * eps * cond with
-cond the kept condition of the design with its ones column.
+cond the kept condition of the design with its ones column, at the rank
+that the diagnostics' own path (``factor_route`` there) reads.
 """
 
 import functools
@@ -31,10 +32,9 @@ import zlib
 import numpy as np
 import pytest
 
-from test_aux_rss import EPS, TOL_FACTOR, kept_condition, mixed_design, sweep_design
+from test_aux_rss import EPS, TOL_FACTOR, factor_route, kept_condition, mixed_design, sweep_design
 from vifnc import DataMatrix, ModelSpec, full_report, intercept_trick, vif, vifnc
 from vifnc.diagnostics import _factor
-from vifnc.linalg import aux_rss
 
 SWEEP = (
     [("near", seed, log_cond) for log_cond in (2, 4, 6, 8, 10, 12, 14) for seed in range(5)]
@@ -72,7 +72,7 @@ def as_data(X, *extra):
 def bound(X):
     """TOL_FACTOR * eps * the kept condition of ``[1, X]`` with unit-length columns."""
     design = np.column_stack([np.ones(len(X)), X])
-    return TOL_FACTOR * EPS * kept_condition(design, aux_rss(design)[1])
+    return TOL_FACTOR * EPS * kept_condition(design, factor_route(design)[1])
 
 
 def readings(X, intercept):
