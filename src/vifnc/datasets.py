@@ -1,4 +1,10 @@
-r"""Embedded Belsley dataset, strict CSV ingestion, and a portable RNG.
+r"""The shipped Belsley dataset, strict CSV ingestion, and a portable RNG.
+
+The Belsley data are Belsley's near-constant columns X2 and X3 with the
+dependent y; X4 is the extra independent draw (normal, mean 4, variance
+16), shipped as printed because its original seed is unrecoverable; X1 is
+the explicit constant. They ship once, as ``data/belsley.csv``, the file
+:func:`belsley` reads.
 
 The CSV dialect is deliberately narrow: UTF-8, comma separated, header of
 unique names, every other cell a finite ASCII decimal numeral
@@ -24,6 +30,7 @@ import cmath
 import codecs
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,37 +41,13 @@ import numpy as np
 from .errors import DuplicateHeader, NonFiniteValue, ParseError, RaggedRow
 from .ols import DataMatrix
 
-# Belsley's near-constant columns X2, X3 with his dependent y; X4 is the
-# extra independent draw (normal, mean 4, variance 16) shipped as printed
-# because its original seed is unrecoverable. X1 is the explicit constant.
-_BELSLEY_NAMES = ("y", "X1", "X2", "X3", "X4")
-_BELSLEY_ROWS = (
-    (2.69385, 1.0, 0.996926, 1.00006, 8.883976),
-    (2.69402, 1.0, 0.997091, 0.998779, 6.432483),
-    (2.70052, 1.0, 0.9973, 1.00068, -1.612356),
-    (2.68559, 1.0, 0.997813, 1.00242, 1.781762),
-    (2.7072, 1.0, 0.997898, 1.00065, 2.16682),
-    (2.6955, 1.0, 0.99814, 1.0005, 4.045509),
-    (2.70417, 1.0, 0.998556, 0.999596, 4.858077),
-    (2.69699, 1.0, 0.998737, 1.00262, 4.9045),
-    (2.69327, 1.0, 0.999414, 1.00321, 8.631162),
-    (2.68999, 1.0, 0.999678, 1.0013, -0.4976853),
-    (2.70003, 1.0, 0.999926, 0.997579, 6.828907),
-    (2.702, 1.0, 0.999995, 0.998597, 8.999921),
-    (2.70938, 1.0, 1.00063, 0.995316, 7.080689),
-    (2.70094, 1.0, 1.00095, 0.995966, 1.193665),
-    (2.70536, 1.0, 1.00118, 0.997125, 1.483312),
-    (2.70754, 1.0, 1.00177, 0.998951, -1.053813),
-    (2.69519, 1.0, 1.00231, 1.00102, -0.5860236),
-    (2.7017, 1.0, 1.00306, 1.00186, -1.371546),
-    (2.70451, 1.0, 1.00394, 1.00353, -2.445995),
-    (2.69532, 1.0, 1.00469, 1.00021, 5.731981),
-)
-
 
 def belsley() -> DataMatrix:
-    """The 20x5 Belsley dataset (y, X1, X2, X3, X4); X1 is all ones."""
-    return DataMatrix(_BELSLEY_NAMES, np.array(_BELSLEY_ROWS))
+    """The 20x5 Belsley dataset (y, X1, X2, X3, X4); X1 is all ones.
+
+    Read from the CSV shipped with the package, :func:`belsley_csv_path`.
+    """
+    return load_csv(belsley_csv_path())
 
 
 def belsley_csv_path() -> Path:
@@ -397,27 +380,37 @@ def _normal_columns(seeds: np.ndarray, n: int, mean: float, variance: float) -> 
     same order. ``log`` goes through ``math`` per element, because NumPy's
     vectorized version may differ from the C library in the last bit;
     ``np.sqrt`` is correctly rounded, as is ``math.sqrt``. Each pair's
-    cosine and sine variates come from one ``cmath.rect(r, theta)``, which
-    for finite ``theta != 0`` is ``(r*cos(theta), r*sin(theta))`` with the
-    C library's ``cos`` and ``sin`` and each product rounded once, so
-    ``mean + rect`` read as float pairs is the two variates, interleaved
-    in their draw order. ``theta`` is at least ``2*pi*2**-53``, never 0.
+    cosine and sine come from one ``cmath.rect(1.0, theta)``, which for
+    finite ``theta != 0`` is ``(1.0*cos(theta), 1.0*sin(theta))`` with the
+    C library's ``cos`` and ``sin``, so exactly the two of them;
+    ``theta`` is at least ``2*pi*2**-53``, never 0. The pair read as two
+    floats is scaled by ``sd*radius`` in NumPy, one rounding per variate
+    as in ``(sd*radius)*cos(theta)``, which gives the two variates
+    interleaved in their draw order. Both libm stages stream their floats
+    from the arrays' buffers (:func:`_libm`).
     """
     pairs = (n + 1) // 2
-    steps = np.arange(1, 2 * pairs + 1, dtype=np.uint64)
+    # row 0 the odd steps (u1), row 1 the even ones (u2), each contiguous
+    steps = np.arange(1, 2 * pairs + 1, dtype=np.uint64).reshape(pairs, 2).T
     with np.errstate(over="ignore"):
-        states = seeds[:, None] + steps * np.uint64(_GOLDEN)
+        states = seeds[:, None] + steps[:, None, :] * np.uint64(_GOLDEN)
     # (z >> 11) + 1 <= 2**53 converts to float64 exactly
-    u = ((_mix(states) >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * 2.0**-53
-    u1, u2 = u[:, 0::2], u[:, 1::2]
+    u1, u2 = ((_mix(states) >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * 2.0**-53
     radius = np.sqrt(-2.0 * _libm(math.log, u1))
-    theta = 2.0 * math.pi * u2
-    scaled = math.sqrt(variance) * radius
-    polar = _libm(cmath.rect, scaled, theta, dtype=np.complex128)
-    return mean + polar.view(np.float64)[:, :n]
+    unit = _libm(cmath.rect, 1.0, 2.0 * math.pi * u2, dtype=np.complex128)
+    cos_sin = unit.view(np.float64).reshape(*unit.shape, 2)
+    variates = (math.sqrt(variance) * radius)[..., None] * cos_sin
+    return mean + variates.reshape(len(seeds), 2 * pairs)[:, :n]
 
 
-def _libm(func, *arrays: np.ndarray, dtype=np.float64) -> np.ndarray:
-    """``func`` from ``math`` or ``cmath`` applied to the elements of ``arrays`` in step."""
-    flat = map(func, *(values.ravel().tolist() for values in arrays))
-    return np.fromiter(flat, dtype, arrays[0].size).reshape(arrays[0].shape)
+def _libm(func, *args, dtype=np.float64) -> np.ndarray:
+    """``func`` from ``math`` or ``cmath`` on each element of the one array among ``args``.
+
+    Every other argument is a float, passed unchanged to every call. The
+    array's floats stream off its buffer through a ``memoryview``, and the
+    results into a new array, so no Python list holds either.
+    """
+    values = next(arg for arg in args if isinstance(arg, np.ndarray))
+    flat = values.reshape(-1)
+    streams = (memoryview(flat) if arg is values else itertools.repeat(arg) for arg in args)
+    return np.fromiter(map(func, *streams), dtype, flat.size).reshape(values.shape)

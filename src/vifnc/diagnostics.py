@@ -278,9 +278,14 @@ class _Factor:
 
         ``centered``: with an intercept, over the centered TSS (the VIF); else through the
         origin, over ``x'x`` (the VIFnc). ``inf`` exactly where the kernel read RSS 0.
+        A lone column has nothing to regress on: its RSS is its TSS, so its ratio is
+        exactly 1, or ``inf`` at a TSS of 0.
         """
+        tss = (self.tss_c if centered else self.xtx)[..., positions]
+        if len(positions) == 1:
+            return _ratio_or_inf(tss, tss), tss
         rss = self.rss(positions, centered)[0][..., : len(positions)]
-        return _ratio_or_inf((self.tss_c if centered else self.xtx)[..., positions], rss), rss
+        return _ratio_or_inf(tss, rss), rss
 
 
 def _factor(data: DataMatrix) -> _Factor:

@@ -239,12 +239,18 @@ class TestColumnSets:
             intercept_trick(belsley_data, ["X1", "X2", "X2"])
 
     def test_no_regressors_leave_nothing_to_project_on(self, belsley_data):
-        # the RSS is the TSS itself: x'x / x'x and TSS_c / TSS_c
-        assert stewart_index(belsley_data, "X2", []) == 1.0
-        assert vifnc(belsley_data, "X2", []) == pytest.approx(1.0, rel=1e-15)
-        assert vif(belsley_data, "X2", []) == pytest.approx(1.0, rel=1e-15)
-        vif_part, term = stewart_decomposition(belsley_data, "X2", [])
-        assert vif_part == pytest.approx(1.0, rel=1e-15) and term > 0.0
+        # the RSS is the TSS itself, so x'x / x'x and TSS_c / TSS_c are exactly 1
+        for j in ("X2", "X3", "X4"):
+            assert stewart_index(belsley_data, j, []) == 1.0
+            assert vifnc(belsley_data, j, []) == 1.0
+            assert vif(belsley_data, j, []) == 1.0
+            x = belsley_data.column(j)
+            mean = x.mean()
+            vif_part, term = stewart_decomposition(belsley_data, j, [])
+            assert vif_part == 1.0
+            assert term == belsley_data.n * mean * mean / ((x - mean) ** 2).sum()
+        assert intercept_trick(belsley_data, ["X1"]) == [("X1", 1.0)]
+
 
 
 class TestIdentityChain:

@@ -16,6 +16,7 @@ from vifnc import (
     vifnc,
 )
 from vifnc.errors import ConfigError
+from vifnc.montecarlo import DiagnosticStats, _stats
 
 
 def nonessential(replications=100, seed=42, noise_sd=0.002):
@@ -212,9 +213,27 @@ def test_stacked_run_matches_one_replication_at_a_time(spec):
         values = np.array(values)
         assert getattr(summary, f"{label}_exceedance") == float((values >= threshold).mean())
         # both routes read one factor, of the stack or of its slice: equal to the bit
-        assert stats.mean == values.mean()
-        assert stats.p95 == np.percentile(values, 95)
-        assert stats.max == values.max()
+        assert stats == row_stats(values)
+
+
+def row_stats(values):
+    """The statistics of one 1-D array, each from its own call on it."""
+    median, p90, p95, p99 = np.percentile(values, [50, 90, 95, 99]).tolist()
+    return DiagnosticStats(float(values.mean()), median, p90, p95, p99, float(values.max()))
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 7, 500])
+def test_stacked_stats_equal_each_row_alone(m):
+    rng = np.random.default_rng(m)
+    values = np.stack([1.0 + rng.random(m), 1e6 * rng.lognormal(size=m)])
+    # a column-major stack too: its strided rows must still sum in the 1-D order
+    for stack in (values, np.asfortranarray(values)):
+        got = _stats(stack)
+        assert len(got) == 2
+        if m == 0:
+            assert all(math.isnan(value) for stats in got for value in vars(stats).values())
+        else:
+            assert got == [row_stats(row) for row in values]
 
 
 class TestConfigParsing:
