@@ -18,7 +18,9 @@ bit-exact.
 
 Random normal columns come from SplitMix64 uniforms pushed through
 Box-Muller with a fixed consumption order, making every draw reproducible
-from the seed alone on any platform (no dependence on a vendor RNG).
+from the seed alone (no dependence on a vendor RNG) wherever the C
+library's ``log``, ``cos`` and ``sin`` give the same bits: no standard
+requires them to be correctly rounded, and C libraries differ.
 SplitMix64 is counter-based: its j-th state is ``seed + j*gamma mod 2**64``,
 so the draws of many seeds are computed at once in ``uint64`` arrays, bit
 for bit equal to stepping the scalar :class:`SplitMix64` one call at a time.
@@ -26,11 +28,9 @@ for bit equal to stepping the scalar :class:`SplitMix64` one call at a time.
 
 from __future__ import annotations
 
-import cmath
 import codecs
 import csv
 import io
-import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -377,17 +377,12 @@ def _normal_columns(seeds: np.ndarray, n: int, mean: float, variance: float) -> 
     Row s is bit-equal to the scalar stream of ``seeds[s]``: the states
     ``seed + j*gamma`` for j = 1..2*ceil(n/2) are mixed, u1 and u2 are the
     odd and even steps, and every float operation is the scalar one in the
-    same order. ``log`` goes through ``math`` per element, because NumPy's
-    vectorized version may differ from the C library in the last bit;
-    ``np.sqrt`` is correctly rounded, as is ``math.sqrt``. Each pair's
-    cosine and sine come from one ``cmath.rect(1.0, theta)``, which for
-    finite ``theta != 0`` is ``(1.0*cos(theta), 1.0*sin(theta))`` with the
-    C library's ``cos`` and ``sin``, so exactly the two of them;
-    ``theta`` is at least ``2*pi*2**-53``, never 0. The pair read as two
-    floats is scaled by ``sd*radius`` in NumPy, one rounding per variate
-    as in ``(sd*radius)*cos(theta)``, which gives the two variates
-    interleaved in their draw order. Both libm stages stream their floats
-    from the arrays' buffers (:func:`_libm`).
+    same order. The bits rest on the C library's ``log`` (:func:`_radius`)
+    and its ``cos`` and ``sin`` (:func:`_cos_sin`), none of which a
+    standard requires to be correctly rounded; ``np.sqrt`` is, as is
+    ``math.sqrt``. The pair is scaled by ``sd*radius`` in NumPy, one
+    rounding per variate as in ``(sd*radius)*cos(theta)``, which gives the
+    two variates interleaved in their draw order.
     """
     pairs = (n + 1) // 2
     # row 0 the odd steps (u1), row 1 the even ones (u2), each contiguous
@@ -396,21 +391,26 @@ def _normal_columns(seeds: np.ndarray, n: int, mean: float, variance: float) -> 
         states = seeds[:, None] + steps[:, None, :] * np.uint64(_GOLDEN)
     # (z >> 11) + 1 <= 2**53 converts to float64 exactly
     u1, u2 = ((_mix(states) >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * 2.0**-53
-    radius = np.sqrt(-2.0 * _libm(math.log, u1))
-    unit = _libm(cmath.rect, 1.0, 2.0 * math.pi * u2, dtype=np.complex128)
-    cos_sin = unit.view(np.float64).reshape(*unit.shape, 2)
-    variates = (math.sqrt(variance) * radius)[..., None] * cos_sin
+    variates = (math.sqrt(variance) * _radius(u1))[..., None] * _cos_sin(2.0 * math.pi * u2)
     return mean + variates.reshape(len(seeds), 2 * pairs)[:, :n]
 
 
-def _libm(func, *args, dtype=np.float64) -> np.ndarray:
-    """``func`` from ``math`` or ``cmath`` on each element of the one array among ``args``.
+def _radius(u1: np.ndarray) -> np.ndarray:
+    """``sqrt(-2*log(u1))`` of a contiguous array, ``log`` from ``math`` off its buffer.
 
-    Every other argument is a float, passed unchanged to every call. The
-    array's floats stream off its buffer through a ``memoryview``, and the
-    results into a new array, so no Python list holds either.
+    NumPy's vectorized ``log`` differs from the C library's in the last bit.
     """
-    values = next(arg for arg in args if isinstance(arg, np.ndarray))
-    flat = values.reshape(-1)
-    streams = (memoryview(flat) if arg is values else itertools.repeat(arg) for arg in args)
-    return np.fromiter(map(func, *streams), dtype, flat.size).reshape(values.shape)
+    log_u1 = np.fromiter(map(math.log, memoryview(u1.reshape(-1))), np.float64, u1.size)
+    return np.sqrt(-2.0 * log_u1.reshape(u1.shape))
+
+
+def _cos_sin(theta: np.ndarray) -> np.ndarray:
+    """``cos(theta)`` and ``sin(theta)`` side by side on a new last axis.
+
+    NumPy's float64 ufuncs call the C library's ``cos`` and ``sin`` (shown on
+    NumPy 2.4.6 with glibc on x86-64); a vector library would give other bits.
+    """
+    cos_sin = np.empty((*theta.shape, 2))
+    np.cos(theta, out=cos_sin[..., 0])
+    np.sin(theta, out=cos_sin[..., 1])
+    return cos_sin

@@ -176,11 +176,23 @@ def run_scenario(spec: ScenarioSpec, thresholds: Thresholds = Thresholds()) -> M
     diagnostic reads ``inf``: a draw whose diagnosed column the kernel
     reads with RSS 0 (an exact relation, or a constant or zero column).
     Failures are disclosed in ``n_failed`` and excluded from the percentiles.
+
+    Raises ``ValueError`` naming the kind's largest parameter when a drawn
+    column's sum of squares exceeds half the float64 range: the factor's
+    column norms, rounded, must square to a finite value.
     """
-    width, j, _ = _KINDS[spec.kind]
+    width, j, reads = _KINDS[spec.kind]
     x = np.empty((spec.replications, spec.n, width))
     seeds = _derive_seeds(spec.master_seed, np.arange(spec.replications, dtype=np.uint64))
-    _generate(spec, seeds, x)
+    with np.errstate(over="ignore"):
+        _generate(spec, seeds, x)
+        overflow = not (np.einsum("rij,rij->rj", x, x) <= np.finfo(float).max / 2).all()
+    if overflow:
+        key = max(reads, key=lambda key: abs(getattr(spec, _KEYS[key][1])))
+        raise ValueError(
+            f"{key} = {getattr(spec, _KEYS[key][1])!r} is too large: a drawn column's"
+            " sum of squares exceeds half the float64 range"
+        )
     factor, columns = _Factor(x), range(width)
     values = np.stack([factor.read(columns, centered)[0][:, j] for centered in (True, False)])
     ok = np.isfinite(values).all(axis=0)

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -437,6 +438,22 @@ class TestMontecarlo:
         code, _, err = run_cli(capsys, "montecarlo", str(config))
         assert code == 2
         assert "master_seed" in err
+
+    @pytest.mark.parametrize(
+        "parameters, key",
+        [("lambda = 1e308\nnoise_sd = 1", "lambda"), ("lambda = 1e200\nnoise_sd = 1", "lambda")],
+    )
+    def test_draws_too_large_for_float64_exit_2_name_the_parameter(
+        self, parameters, key, tmp_path, capsys
+    ):
+        config = tmp_path / "wide.cfg"
+        text = f"kind = essential\nn = 20\nreplications = 5\nmaster_seed = 1\n{parameters}\n"
+        config.write_text(text, encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "montecarlo", str(config))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {key} = ") and err.count("\n") == 1
 
 
 # SHA-256 of `vifnc montecarlo` stdout for the shipped configs. The text

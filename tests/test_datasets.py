@@ -1,3 +1,4 @@
+import cmath
 import hashlib
 import io
 import itertools
@@ -478,6 +479,41 @@ def box_muller(seed, n, mean, variance):
         theta = 2.0 * math.pi * u2
         out += [mean + sd * radius * math.cos(theta), mean + sd * radius * math.sin(theta)]
     return out[:n]
+
+
+def uniform_sweep():
+    """Uniforms in (0, 1]: every power of two down to 2**-53, the quadrant edges
+    k/4 and 1..4 ulps either side of them, and 10,000 SplitMix64 uniforms."""
+    u = [2.0**-k for k in range(54)]
+    for k in (1, 2, 3):
+        below = above = k / 4
+        u.append(k / 4)
+        for _ in range(4):
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, 1.0)
+            u += [below, above]
+    rng = SplitMix64(20_260_101)
+    return np.array(u + [rng.uniform() for _ in range(10_000)])
+
+
+# The generator takes its bits from the C library's log, cos and sin. These
+# pins read each stage as the generator calls it against the scalar calls it
+# stands for, so a NumPy build that sends float64 cos/sin to a vector library
+# fails here by name, before any digest does.
+def test_trig_stage_is_the_c_library_cos_and_sin():
+    theta = 2.0 * math.pi * uniform_sweep()
+    expected = [cmath.rect(1.0, t) for t in theta.tolist()]
+    # 2-D as the generator's (seeds, pairs) angles, and 1-D
+    for angles in (theta, theta[:10_000].reshape(100, 100)):
+        got = datasets._cos_sin(angles)
+        assert got.shape == (*angles.shape, 2)
+        assert got.reshape(-1, 2).tolist() == [[z.real, z.imag] for z in expected[: angles.size]]
+
+
+def test_log_stage_is_the_c_library_log():
+    u = uniform_sweep()
+    expected = [math.sqrt(-2.0 * math.log(x)) for x in u.tolist()]
+    assert datasets._radius(u).tolist() == expected
+    assert datasets._radius(u[:10_000].reshape(100, 100)).reshape(-1).tolist() == expected[:10_000]
 
 
 EDGE_SEEDS = [0, 1, 2**63, 2**64 - 1, 0x9E3779B97F4A7C15, 123456789]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -149,6 +150,62 @@ class TestRunScenario:
     def test_custom_thresholds_move_exceedance(self):
         summary = run_scenario(nonessential(), Thresholds(vif=1.0, vifnc=1.0))
         assert summary.vif_exceedance == 1.0
+
+
+#: Half the float64 range over 20 rows: a constant column of this value fills it exactly.
+EDGE = math.sqrt(np.finfo(float).max / 40)
+
+
+class TestDrawsTooLargeForFloat64:
+    """Finite parameters whose draws a column's sum of squares cannot hold."""
+
+    @pytest.mark.parametrize(
+        "kind, parameters, key",
+        [
+            ("essential", {"lam": 1e308, "noise_sd": 1.0}, "lambda"),
+            ("essential", {"lam": -1e200, "noise_sd": 1.0}, "lambda"),
+            ("essential", {"lam": 1.0, "noise_sd": 1e154}, "noise_sd"),
+            ("nonessential", {"base": 1.7e308, "noise_sd": 1e150}, "base"),
+            ("nonessential", {"base": 1e200, "noise_sd": 1.0}, "base"),
+            ("nonessential", {"base": 1.0, "noise_sd": 1e154}, "noise_sd"),
+            ("nonessential", {"base": EDGE * (1 + 1e-12), "noise_sd": 1e-150}, "base"),
+        ],
+    )
+    def test_named_before_the_factor_without_a_warning(self, kind, parameters, key):
+        spec = ScenarioSpec(kind=kind, n=20, replications=5, master_seed=1, **parameters)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{key} = .* is too large"):
+                run_scenario(spec)
+
+    @pytest.mark.parametrize(
+        "kind, parameters, failed",
+        [
+            # the widest draws the factor reads: every column stays a valid design
+            ("essential", {"lam": 1e152, "noise_sd": 1e150}, 0),
+            # a constant column just inside half the range: the kernel reads RSS 0
+            ("nonessential", {"base": EDGE * (1 - 1e-12), "noise_sd": 1e-150}, 5),
+        ],
+    )
+    def test_draws_inside_the_range_run_without_a_warning(self, kind, parameters, failed):
+        spec = ScenarioSpec(kind=kind, n=20, replications=5, master_seed=1, **parameters)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            summary = run_scenario(spec)
+        assert (summary.n_success, summary.n_failed) == (5 - failed, failed)
+
+    def test_wide_draws_read_as_unit_scale_ones(self):
+        # the essential kind's VIF and VIFnc do not depend on the common scale of
+        # lambda and noise_sd, so a run near the edge reads what a unit-scale run reads
+        def summary(scale):
+            spec = ScenarioSpec(
+                kind="essential", n=20, replications=50, master_seed=1, lam=scale, noise_sd=scale
+            )
+            return run_scenario(spec)
+
+        unit, wide = summary(1.0), summary(1e152)
+        for label in ("vif_stats", "vifnc_stats"):
+            assert vars(getattr(wide, label)) == pytest.approx(vars(getattr(unit, label)), rel=1e-12)
 
 
 def one_replication(spec, r):
