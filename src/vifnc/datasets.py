@@ -377,9 +377,11 @@ def _normal_columns(seeds: np.ndarray, n: int, mean: float, variance: float) -> 
     Row s is bit-equal to the scalar stream of ``seeds[s]``: the states
     ``seed + j*gamma`` for j = 1..2*ceil(n/2) are mixed, u1 and u2 are the
     odd and even steps, and every float operation is the scalar one in the
-    same order. The bits rest on the C library's ``log`` (:func:`_radius`)
-    and its ``cos`` and ``sin`` (:func:`_cos_sin`), none of which a
-    standard requires to be correctly rounded; ``np.sqrt`` is, as is
+    same order. The bits rest on the C library's ``log``, reached through
+    NumPy's scalar float64 loop, which NumPy runs when the operands partly
+    overlap (:func:`_radius`), and on its ``cos`` and ``sin``
+    (:func:`_cos_sin`), both shown on NumPy 2.4.6 with glibc on x86-64. No
+    standard requires these to be correctly rounded; ``np.sqrt`` is, as is
     ``math.sqrt``. The pair is scaled by ``sd*radius`` in NumPy, one
     rounding per variate as in ``(sd*radius)*cos(theta)``, which gives the
     two variates interleaved in their draw order.
@@ -396,12 +398,23 @@ def _normal_columns(seeds: np.ndarray, n: int, mean: float, variance: float) -> 
 
 
 def _radius(u1: np.ndarray) -> np.ndarray:
-    """``sqrt(-2*log(u1))`` of a contiguous array, ``log`` from ``math`` off its buffer.
+    """``sqrt(-2*log(u1))``, ``log`` the C library's, reached through NumPy's scalar float64 loop.
 
-    NumPy's vectorized ``log`` differs from the C library's in the last bit.
+    NumPy's float64 ``log`` has a SIMD loop whose bits differ from the C
+    library's in the last place. That loop refuses operands that partly
+    overlap, and NumPy then runs its scalar loop, which calls the C library's
+    ``log`` element by element (shown on NumPy 2.4.6 with glibc on x86-64).
+    So ``log`` reads the uniforms one slot above where it writes: a forward
+    elementwise loop may do that, and NumPy hands it the overlapping buffer
+    without a copy. A lone element does not overlap, so a trailing 1.0 makes
+    every call at least two elements long.
     """
-    log_u1 = np.fromiter(map(math.log, memoryview(u1.reshape(-1))), np.float64, u1.size)
-    return np.sqrt(-2.0 * log_u1.reshape(u1.shape))
+    shifted = np.empty(u1.size + 2)
+    shifted[1:-1].reshape(u1.shape)[...] = u1
+    shifted[-1] = 1.0
+    log_u1 = np.log(shifted[1:], out=shifted[:-1])[: u1.size]
+    log_u1 *= -2.0
+    return np.sqrt(log_u1, out=log_u1).reshape(u1.shape)
 
 
 def _cos_sin(theta: np.ndarray) -> np.ndarray:

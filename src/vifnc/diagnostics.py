@@ -69,6 +69,8 @@ from .ols import INTERCEPT_NAME, DataMatrix, FitResult, ModelSpec, _distinct, fi
 
 #: Bytes of one design's ``[D, 1]`` that the factor takes at a time (see ``_Factor``).
 _FACTOR_BYTES = 1 << 20
+#: The largest ``x'x`` the factor takes: its column norms, rounded, must square to a finite value.
+_XTX_MAX = np.finfo(float).max / 2
 #: The Gram route's floor: :func:`stewart_index` reads ``inf`` at an RSS of at most this times x'x.
 _GRAM_FLOOR = 1e-12
 
@@ -186,6 +188,17 @@ def _term(vif, mean, n: int, rss) -> np.ndarray:
     return np.where(np.isinf(vif), np.where(mean != 0.0, np.inf, 0.0), term)
 
 
+class _TooLarge(ValueError):
+    """A column whose ``x'x`` exceeds :data:`_XTX_MAX`, at ``position`` in the design."""
+
+    def __init__(self, position: int, name: str | None = None):
+        super().__init__(
+            f"column {position if name is None else repr(name)} is too large:"
+            " its sum of squares exceeds half the float64 range"
+        )
+        self.position = position
+
+
 class _Factor:
     """One Householder factor of ``[D, 1]`` and its column sums, D of shape ``(..., n, K)``.
 
@@ -216,8 +229,12 @@ class _Factor:
     def __init__(self, values: np.ndarray):
         *stack, n, k = values.shape
         # on each strided column: BLAS sums a contiguous copy in another order
-        xtx = [(v[..., None, :] @ v[..., :, None])[..., 0, 0] for v in np.moveaxis(values, -1, 0)]
+        with np.errstate(over="ignore"):
+            xtx = [(v[..., None, :] @ v[..., :, None])[..., 0, 0] for v in np.moveaxis(values, -1, 0)]
         self.xtx = np.stack(xtx, axis=-1)
+        too_large = ~(self.xtx <= _XTX_MAX).reshape(-1, k).all(axis=0)
+        if too_large.any():
+            raise _TooLarge(int(np.argmax(too_large)))
         # allocated first: a buffer taken after the QR's temporaries sits above
         # them on the heap and keeps it from shrinking once they are freed
         x = np.empty((*stack, n))  # contiguous, as the sums' floating-point order needs
@@ -292,7 +309,10 @@ def _factor(data: DataMatrix) -> _Factor:
     """The factor of every column of ``data``, built once and kept on ``data``."""
     factor = data.__dict__.get("_factor")
     if factor is None:
-        factor = _Factor(data.values)
+        try:
+            factor = _Factor(data.values)
+        except _TooLarge as exc:
+            raise _TooLarge(exc.position, data.names[exc.position]) from None
         object.__setattr__(data, "_factor", factor)  # frozen, but its values never change
     return factor
 

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import Thresholds, _Factor
+from .diagnostics import Thresholds, _Factor, _TooLarge
 from .errors import ConfigError
 from .datasets import _check_integers, _derive_seeds, _normal_columns
 
@@ -186,15 +186,15 @@ def run_scenario(spec: ScenarioSpec, thresholds: Thresholds = Thresholds()) -> M
     seeds = _derive_seeds(spec.master_seed, np.arange(spec.replications, dtype=np.uint64))
     with np.errstate(over="ignore"):
         _generate(spec, seeds, x)
-        overflow = not (np.einsum("rij,rij->rj", x, x) <= np.finfo(float).max / 2).all()
-    if overflow:
+    try:
+        factor = _Factor(x)
+    except _TooLarge:
         key = max(reads, key=lambda key: abs(getattr(spec, _KEYS[key][1])))
         raise ValueError(
             f"{key} = {getattr(spec, _KEYS[key][1])!r} is too large: a drawn column's"
             " sum of squares exceeds half the float64 range"
-        )
-    factor, columns = _Factor(x), range(width)
-    values = np.stack([factor.read(columns, centered)[0][:, j] for centered in (True, False)])
+        ) from None
+    values = np.stack([factor.read(range(width), centered)[0][:, j] for centered in (True, False)])
     ok = np.isfinite(values).all(axis=0)
     values = values[:, ok]
     vif_stats, vifnc_stats = _stats(values)

@@ -288,6 +288,19 @@ class TestDiagnose:
         for key in ("vif", "vifnc", "stewart_k2"):
             assert isinstance(rows["a"][key], float) and rows["a"][key] < 2.0
 
+    def test_column_whose_squares_overflow_exit_2_names_it(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        columns = {"y": rng.normal(size=20), "x1": rng.normal(size=20)}
+        columns["x2"] = 1e200 * (1.0 + rng.normal(size=20))
+        path = tmp_path / "wide.csv"
+        save_csv(DataMatrix.from_columns(columns), path)
+        for extra in ((), ("--no-intercept",)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run_cli(capsys, "diagnose", str(path), "--dependent", "y", *extra)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: column 'x2' is too large") and err.count("\n") == 1
+
 
 class TestReplicate:
     def test_exit_zero_and_all_pass(self, capsys):

@@ -495,10 +495,13 @@ def uniform_sweep():
     return np.array(u + [rng.uniform() for _ in range(10_000)])
 
 
-# The generator takes its bits from the C library's log, cos and sin. These
-# pins read each stage as the generator calls it against the scalar calls it
-# stands for, so a NumPy build that sends float64 cos/sin to a vector library
-# fails here by name, before any digest does.
+# The generator takes its bits from the C library's log, cos and sin: log
+# through NumPy's scalar float64 loop, which NumPy runs when the operands
+# partly overlap, and cos and sin through NumPy's float64 ufuncs. These pins
+# read each stage as the generator calls it against the scalar calls it
+# stands for, so a NumPy build that sends float64 cos/sin to a vector
+# library, or that runs its vector log on overlapping operands, fails here by
+# name, before any digest does.
 def test_trig_stage_is_the_c_library_cos_and_sin():
     theta = 2.0 * math.pi * uniform_sweep()
     expected = [cmath.rect(1.0, t) for t in theta.tolist()]
@@ -509,11 +512,49 @@ def test_trig_stage_is_the_c_library_cos_and_sin():
         assert got.reshape(-1, 2).tolist() == [[z.real, z.imag] for z in expected[: angles.size]]
 
 
+def scalar_radius(u):
+    return [math.sqrt(-2.0 * math.log(x)) for x in np.asarray(u).reshape(-1).tolist()]
+
+
 def test_log_stage_is_the_c_library_log():
     u = uniform_sweep()
-    expected = [math.sqrt(-2.0 * math.log(x)) for x in u.tolist()]
+    expected = scalar_radius(u)
     assert datasets._radius(u).tolist() == expected
     assert datasets._radius(u[:10_000].reshape(100, 100)).reshape(-1).tolist() == expected[:10_000]
+
+
+def test_log_stage_takes_lone_uniforms_where_vector_log_differs():
+    # a one-element call cannot overlap itself, so the stage pads it; on a
+    # platform where np.log equals math.log everywhere this checks nothing
+    u = 1.0 - np.random.default_rng(1).random(200_000)  # in (0, 1]
+    differ = u[np.log(u) != [math.log(x) for x in u.tolist()]]
+    for x in differ[:200]:
+        assert datasets._radius(np.array([x])).tolist() == scalar_radius([x])
+
+
+@pytest.mark.parametrize("size", [2, 3, 8191, 8192, 8193])
+def test_log_stage_at_sizes_around_the_ufunc_buffer(size):
+    rng = SplitMix64(size)
+    u = np.array([rng.uniform() for _ in range(size)])
+    assert datasets._radius(u).tolist() == scalar_radius(u)
+
+
+def test_log_stage_reads_a_strided_input_and_leaves_it_unchanged():
+    u = uniform_sweep()[:10_000].reshape(100, 100)
+    before = u.copy()
+    for view in (u[:, ::3], u.T, u[::-1, 1::2]):
+        got = datasets._radius(view)
+        assert got.shape == view.shape
+        assert got.reshape(-1).tolist() == scalar_radius(view)
+    assert np.array_equal(u, before)
+
+
+def test_two_draws_through_the_public_api_match_the_scalar_stream():
+    # n = 2 is one pair, so each call takes log of a single uniform
+    for i in range(2_000):
+        seed = derive_seed(2, i)
+        got = generate_normal_column(GeneratorSpec(n=2, mean=0.0, variance=1.0, seed=seed))
+        assert got.tolist() == box_muller(seed, 2, 0.0, 1.0)
 
 
 EDGE_SEEDS = [0, 1, 2**63, 2**64 - 1, 0x9E3779B97F4A7C15, 123456789]

@@ -515,6 +515,24 @@ class TestFullReport:
         with pytest.raises(ZeroColumn, match="'z'"):
             full_report(data, ModelSpec("y", ("a", "z", "b")))
 
+    def test_column_whose_squares_overflow_named_before_the_factor(self):
+        # x2's draws are finite, but its x'x is not: no diagnostic reads it as inf
+        rng = np.random.default_rng(7)
+        columns = {"y": rng.normal(size=20), "x1": rng.normal(size=20)}
+        columns["x2"] = 1e200 * (1.0 + rng.normal(size=20))
+        data = DataMatrix.from_columns(columns)
+        spec = ModelSpec("y", ("x1", "x2"))
+        for call in (
+            lambda: full_report(data, spec),
+            lambda: variance_factors(data, spec),
+            lambda: vif(data, "x1", ["x2"]),
+            lambda: vifnc(data, "x1", ["x2"]),
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="^column 'x2' is too large"):
+                    call()
+
     def test_too_few_observations(self):
         data = random_data(3, n=3, k=5)
         # each centered auxiliary regression has 1 + 2 columns: square, so a perfect fit
@@ -687,6 +705,21 @@ class TestSharedFactor:
                 cond = np.linalg.cond(X / np.linalg.norm(X, axis=0))
                 kernel = diagnostics._Factor(X).rss(range(len(cols)), centered=False)[0]
                 assert rss == pytest.approx(kernel, rel=100 * np.finfo(float).eps * cond)
+
+    def test_a_stack_names_the_first_column_too_large_in_any_design(self):
+        # half the float64 range over 20 rows: a constant column of this value fills it
+        edge = math.sqrt(np.finfo(float).max / 40)
+        stack = np.random.default_rng(8).normal(size=(4, 20, 3))
+        stack[..., 1] = edge * (1 - 1e-12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            factor = diagnostics._Factor(stack)
+            assert np.all(factor.xtx[:, 1] <= diagnostics._XTX_MAX)
+            for bad in (2, 1):
+                wide = stack.copy()
+                wide[3, 0, bad] = edge * 5
+                with pytest.raises(ValueError, match=f"^column {bad} is too large"):
+                    diagnostics._Factor(wide)
 
     @staticmethod
     def mean_zero_designs(count=300):
