@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .datasets import load_csv
 from .diagnostics import AuxiliaryMode, Thresholds, auxiliary_regression, full_report
-from .errors import ConfigError, VifncError
+from .errors import VifncError
 from .montecarlo import load_scenario_config, run_scenario
 from .ols import DataMatrix, ModelSpec
 from .replication import replication_table
@@ -85,10 +85,7 @@ def cmd_aux(args) -> int:
 
 def cmd_montecarlo(args) -> int:
     spec, thresholds = load_scenario_config(args.config)
-    try:
-        summary = run_scenario(spec, thresholds)
-    except ValueError as exc:  # a parameter whose draws overflow
-        raise ConfigError(str(exc)) from None
+    summary = run_scenario(spec, thresholds)
     sys.stdout.write(render_montecarlo(summary, fmt=args.format))
     return 0
 

@@ -255,11 +255,15 @@ def _numeral(cell: str, row: int, col: int) -> float:
 
 
 def to_csv(data: DataMatrix) -> str:
-    """Canonical serialization: header plus shortest round-trip decimals."""
-    lines = [",".join(data.names)]
-    for row in data.values:
-        lines.append(",".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
+    """Canonical serialization: header plus shortest round-trip decimals.
+
+    A name is quoted only when it needs it (a comma, a quote, a line break),
+    as :func:`load_csv` reads it back.
+    """
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow(data.names)
+    out.writelines(",".join(repr(float(v)) for v in row) + "\n" for row in data.values)
+    return out.getvalue()
 
 
 def save_csv(data: DataMatrix, path: str | Path) -> None:

@@ -38,7 +38,8 @@ equals the report row of a model on the same columns, and a replication
 the calls on its own matrix, bit for bit. The factor costs n*K^2 for K
 columns, so a caller pays for every column of the matrix it passes.
 ``stewart_index`` (the Gram system) and ``auxiliary_regression`` (a refit)
-keep routes of their own.
+keep routes of their own, under the factor's overflow rule
+(:func:`vifnc.linalg._gate`).
 
 Conventions: ``vifnc(j, regressors)`` regresses j on exactly the named
 regressors and never adds a ones column; passing an explicit all-ones
@@ -64,13 +65,11 @@ from .errors import (
     TooFewObservations,
     ZeroColumn,
 )
-from .linalg import _guarded, _halves
+from .linalg import _TooLarge, _column_xtx, _gate, _guarded, _halves
 from .ols import INTERCEPT_NAME, DataMatrix, FitResult, ModelSpec, _distinct, fit
 
 #: Bytes of one design's ``[D, 1]`` that the factor takes at a time (see ``_Factor``).
 _FACTOR_BYTES = 1 << 20
-#: The largest ``x'x`` the factor takes: its column norms, rounded, must square to a finite value.
-_XTX_MAX = np.finfo(float).max / 2
 #: The Gram route's floor: :func:`stewart_index` reads ``inf`` at an RSS of at most this times x'x.
 _GRAM_FLOOR = 1e-12
 
@@ -188,17 +187,6 @@ def _term(vif, mean, n: int, rss) -> np.ndarray:
     return np.where(np.isinf(vif), np.where(mean != 0.0, np.inf, 0.0), term)
 
 
-class _TooLarge(ValueError):
-    """A column whose ``x'x`` exceeds :data:`_XTX_MAX`, at ``position`` in the design."""
-
-    def __init__(self, position: int, name: str | None = None):
-        super().__init__(
-            f"column {position if name is None else repr(name)} is too large:"
-            " its sum of squares exceeds half the float64 range"
-        )
-        self.position = position
-
-
 class _Factor:
     """One Householder factor of ``[D, 1]`` and its column sums, D of shape ``(..., n, K)``.
 
@@ -232,9 +220,7 @@ class _Factor:
         with np.errstate(over="ignore"):
             xtx = [(v[..., None, :] @ v[..., :, None])[..., 0, 0] for v in np.moveaxis(values, -1, 0)]
         self.xtx = np.stack(xtx, axis=-1)
-        too_large = ~(self.xtx <= _XTX_MAX).reshape(-1, k).all(axis=0)
-        if too_large.any():
-            raise _TooLarge(int(np.argmax(too_large)))
+        _gate(self.xtx)
         # allocated first: a buffer taken after the QR's temporaries sits above
         # them on the heap and keeps it from shrinking once they are freed
         x = np.empty((*stack, n))  # contiguous, as the sums' floating-point order needs
@@ -404,14 +390,17 @@ def stewart_index(
     the RSS, a difference, to rounding noise rather than to 0 (``x = 2 z1 - 3 z2``
     read 1.5e15 to 9e15 on 120 of 300 draws), hence the floor :data:`_GRAM_FLOOR`.
     With no regressors there is nothing to project on, and the index is 1.
+    A column whose sum of squares exceeds half the float64 range raises
+    ``ValueError`` naming it, as the factor's readers do.
     """
-    names = _others(data, j, regressors)
-    others = data.matrix(names) if names else None
-    x = data.column(j)
+    names = _others(data, j, regressors) + (j,)
+    design = data.matrix(names)
+    _gate(_column_xtx(design), names)
+    others, x = design[:, :-1], design[:, -1]
     tss = float(x @ x)
     if tss == 0.0:
         raise ZeroColumn(f"column {j!r} is identically zero")
-    if others is None:
+    if len(names) == 1:
         return 1.0  # nothing to project on: x'x / x'x
     gram = others.T @ others
     d = np.sqrt(np.diag(gram))

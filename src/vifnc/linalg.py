@@ -1,4 +1,4 @@
-"""Dense least-squares core: QR solve and the auxiliary-RSS kernel.
+"""Dense least-squares core: QR solve, the auxiliary-RSS kernel, and the overflow rule.
 
 All operations are pure functions over validated inputs; nothing here keeps
 state, so concurrent use is safe. The Belsley-style data this package
@@ -6,6 +6,18 @@ targets is near-singular by construction, which is why the solver goes
 through an orthogonal decomposition instead of the normal equations: the
 squared condition number of a Gram matrix would wipe out the digits the
 replication targets depend on.
+
+The solver has one path at every rank. One Householder R of ``[A, b]``
+holds R of A in its leading block and ``Q'b`` in its last column
+(Golub & Van Loan, *Matrix Computations*, 4th ed., section 5.3), so no Q
+is formed. The SVD of that block with unit-length columns gives the rank
+and, cut at it, the solution.
+
+Overflow. A column whose ``x'x`` exceeds :data:`_XTX_MAX` has column
+norms that cannot be squared, so every route that reads columns raises
+:class:`_TooLarge` for it before any product: the diagnostics' factor, the
+solver (by its position in ``[A, b]``), and, by name, ``fit`` and
+``stewart_index``.
 
 The kernel gives the RSS of every column of a design regressed on all the
 other columns, and fits no regression. The RSS depend on the design only
@@ -54,6 +66,38 @@ from .errors import DimensionMismatch, NonFiniteInput, TooFewObservations
 #: fraction of the largest counts as zero (numerical rank test); in
 #: :func:`_spectral_rss` it also bounds the rounding in the null-space weights.
 SCALED_RANK_RTOL = 1e-13
+#: The largest ``x'x`` a column may have: its norm, rounded, must square to a finite value.
+_XTX_MAX = np.finfo(float).max / 2
+
+
+class _TooLarge(ValueError):
+    """A column whose ``x'x`` exceeds :data:`_XTX_MAX`, at ``position`` in the design."""
+
+    def __init__(self, position: int, name: str | None = None):
+        super().__init__(
+            f"column {position if name is None else repr(name)} is too large:"
+            " its sum of squares exceeds half the float64 range"
+        )
+        self.position = position
+
+
+def _gate(xtx: np.ndarray, names=None) -> None:
+    """:class:`_TooLarge` for the first column whose ``x'x`` exceeds :data:`_XTX_MAX`.
+
+    ``xtx`` runs over ``(..., k)``, one design or a stack; a column counts
+    if it is too large in any design, and NaN counts too. The exception
+    names the column from ``names`` when given, else gives its position.
+    """
+    too_large = ~(xtx <= _XTX_MAX).reshape(-1, xtx.shape[-1]).all(axis=0)
+    if too_large.any():
+        position = int(np.argmax(too_large))
+        raise _TooLarge(position, None if names is None else names[position])
+
+
+def _column_xtx(a: np.ndarray) -> np.ndarray:
+    """Each column's ``x'x``, ``inf`` without a warning where it overflows."""
+    with np.errstate(over="ignore"):
+        return np.einsum("ij,ij->j", a, a)
 
 
 @dataclass(frozen=True)
@@ -249,10 +293,13 @@ def _halves(r: np.ndarray):
 def solve_least_squares(A, b) -> LeastSquaresSolution:
     """Solve ``min ||A x - b||`` by Householder QR with rank detection.
 
-    The numerical rank is the kernel's (see :func:`_spectral_rss`): singular
-    values of the triangular factor with unit-length columns, cut at
+    One QR of ``[A, b]`` gives R of A, its leading block, and ``Q'b``, its
+    last column. The SVD of that block with unit-length columns,
+    ``R D^-1 = U S V'``, gives the numerical rank r, the kernel's (see
+    :func:`_spectral_rss`): singular values cut at
     :data:`SCALED_RANK_RTOL` times the largest, so rescaling a column does
-    not change it.
+    not change it. Cut at r it also gives the solution,
+    ``D x = V_r S_r^-1 U_r' Q'b``.
 
     Parameters
     ----------
@@ -264,11 +311,9 @@ def solve_least_squares(A, b) -> LeastSquaresSolution:
     Returns
     -------
     LeastSquaresSolution
-        Full-rank systems are solved from the triangular factor and give
-        the unique OLS estimator. A rank-deficient system is *flagged*
-        and solved from the SVD that gave the rank, cut at that rank: the
-        residual is the reported rank's, and the coefficients times their
-        columns' lengths have the least norm.
+        At full rank the unique OLS estimator. A rank-deficient system is
+        *flagged*, not refused: the residual is the reported rank's, and
+        the coefficients times their columns' lengths have the least norm.
 
     Raises
     ------
@@ -278,6 +323,9 @@ def solve_least_squares(A, b) -> LeastSquaresSolution:
         If row counts disagree.
     TooFewObservations
         If there are fewer rows than columns.
+    ValueError
+        If a column's sum of squares exceeds half the float64 range; it is
+        named by its position in ``[A, b]``, so ``b`` is column k.
     """
     A = as_matrix(A, "A")
     b = as_vector(b, "b")
@@ -286,15 +334,13 @@ def solve_least_squares(A, b) -> LeastSquaresSolution:
         raise DimensionMismatch(f"A has {n} rows but b has {b.shape[0]} entries")
     if n < k:
         raise TooFewObservations(f"{n} observations for {k} design columns")
+    augmented = np.column_stack([A, b])
+    _gate(_column_xtx(augmented))
 
-    Q, R = np.linalg.qr(A, mode="reduced")
-    norms, u, s, vh, rank = _scaled_spectrum(R)
-    if rank == k:
-        coef = np.linalg.solve(R, Q.T @ b)
-    else:
-        # R D^-1 = U S V' cut at the rank r: D x = V_r S_r^-1 U_r' Q'b
-        scaled = vh[:rank].T @ ((u[:, :rank].T @ (Q.T @ b)) / s[:rank])
-        coef = scaled / np.where(norms > 0.0, norms, 1.0)
+    r = np.linalg.qr(augmented, mode="r")
+    norms, u, s, vh, rank = _scaled_spectrum(r[:k, :k])
+    scaled = vh[:rank].T @ ((u[:, :rank].T @ r[:k, k]) / s[:rank])
+    coef = scaled / np.where(norms > 0.0, norms, 1.0)
     residual_norm = float(np.linalg.norm(b - A @ coef))
     return LeastSquaresSolution(
         coefficients=coef,

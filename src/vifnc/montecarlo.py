@@ -33,9 +33,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import Thresholds, _Factor, _TooLarge
+from .diagnostics import Thresholds, _Factor
 from .errors import ConfigError
 from .datasets import _check_integers, _derive_seeds, _normal_columns
+from .linalg import _TooLarge
 
 #: Per kind: regressor columns, the column diagnosed, and the config keys its recipe reads.
 _KINDS = {

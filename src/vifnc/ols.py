@@ -17,14 +17,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import (
-    NonFiniteInput,
-    NotCenteredModel,
-    TooFewObservations,
-    UnknownColumn,
-    ZeroTotalSumOfSquares,
-)
-from .linalg import solve_least_squares
+from .errors import NonFiniteInput, NotCenteredModel, UnknownColumn, ZeroTotalSumOfSquares
+from .linalg import _TooLarge, solve_least_squares
 
 INTERCEPT_NAME = "intercept"
 
@@ -154,7 +148,7 @@ class FitResult:
 
 
 def fit(data: DataMatrix, spec: ModelSpec) -> FitResult:
-    """Fit ``spec`` on ``data`` by QR least squares.
+    """Fit ``spec`` on ``data`` by QR least squares (:func:`vifnc.linalg.solve_least_squares`).
 
     Parameters
     ----------
@@ -169,17 +163,18 @@ def fit(data: DataMatrix, spec: ModelSpec) -> FitResult:
     UnknownColumn
         If the spec names a column the data does not have.
     TooFewObservations
-        If the design has more columns than rows.
+        If the design has more columns than rows (raised by the solver).
+    ValueError
+        Naming the first column, the dependent one included, whose sum of
+        squares exceeds half the float64 range.
     """
     y = data.column(spec.dependent)
     X = data.matrix(spec.regressors, spec.intercept)
     names = ((INTERCEPT_NAME,) if spec.intercept else ()) + spec.regressors
-    if data.n < X.shape[1]:
-        raise TooFewObservations(
-            f"{data.n} observations cannot support {X.shape[1]} design columns"
-        )
-
-    sol = solve_least_squares(X, y)
+    try:
+        sol = solve_least_squares(X, y)
+    except _TooLarge as exc:  # a position in [X, y]
+        raise _TooLarge(exc.position, (names + (spec.dependent,))[exc.position]) from None
     fitted = X @ sol.coefficients
     residuals = y - fitted
     # a constant column's float mean can miss the constant by an ulp, which

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vifnc import DataMatrix, belsley, diagnostics, linalg, load_csv, montecarlo, save_csv, to_csv
+from vifnc import DataMatrix, belsley, diagnostics, linalg, load_csv, montecarlo, ols, save_csv, to_csv
 from vifnc.cli import main
 
 BELSLEY_CSV = to_csv(belsley())
@@ -357,6 +357,23 @@ class TestAux:
         assert (code, out) == (2, "")
         assert "constant" in err
 
+    @pytest.mark.parametrize("column", ["x2", "x1"])
+    def test_column_whose_squares_overflow_exit_2_names_it(self, column, tmp_path, capsys):
+        # x2 as the target or as a regressor: the diagnose line, with no warning or traceback
+        rng = np.random.default_rng(5)
+        columns = {"y": rng.normal(size=20), "x1": rng.normal(size=20)}
+        columns["x2"] = 1e200 * (1.0 + rng.normal(size=20))
+        path = tmp_path / "wide.csv"
+        save_csv(DataMatrix.from_columns(columns), path)
+        for mode in ("noncentered", "centered"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run_cli(capsys, "aux", str(path), "--column", column, "--mode", mode)
+            assert (code, out) == (2, "")
+            assert err == (
+                "error: column 'x2' is too large: its sum of squares exceeds half the float64 range\n"
+            )
+
     def test_csv_output_roundtrips_through_load_csv(self, belsley_csv, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -547,7 +564,20 @@ class OnesFirstFactor(diagnostics._Factor):
         return out, rank
 
 
-ROUTES = ("open", "svd", "ones-first", "ones-first-svd")
+def reduced_q_solve(A, b):
+    """The solver as it was before one QR of ``[A, b]`` served every rank, at full rank.
+
+    Q and R of A, the rank off the SVD of R with unit-length columns, then an
+    LU solve of ``R x = Q'b``. The aux goldens' designs are all of full rank.
+    """
+    Q, R = np.linalg.qr(A, mode="reduced")
+    rank = linalg._scaled_spectrum(R)[-1]
+    assert rank == A.shape[1]
+    coef = np.linalg.solve(R, Q.T @ b)
+    return linalg.LeastSquaresSolution(coef, int(rank), float(np.linalg.norm(b - A @ coef)), False)
+
+
+ROUTES = ("open", "svd", "ones-first", "ones-first-svd", "reduced-q")
 
 
 def golden_params(*tables):
@@ -560,12 +590,15 @@ def golden_params(*tables):
 
 
 def take_route(monkeypatch, route):
-    """Shut the kernel's guard on the SVD routes; lay the factor out as `[1, D]` on the old ones."""
+    """Shut the kernel's guard on the SVD routes; lay the factor out as `[1, D]` on the old ones;
+    refit through `reduced_q_solve` on the reduced-Q one."""
     if route.endswith("svd"):
         monkeypatch.setattr(linalg, "_INVERSE_KAPPA", 0.0)  # no condition is below 0
     if route.startswith("ones-first"):
         monkeypatch.setattr(diagnostics, "_Factor", OnesFirstFactor)
         monkeypatch.setattr(montecarlo, "_Factor", OnesFirstFactor)
+    if route == "reduced-q":
+        monkeypatch.setattr(ols, "solve_least_squares", reduced_q_solve)
 
 
 @pytest.mark.parametrize(
@@ -593,7 +626,9 @@ def test_shipped_config_output_is_byte_identical(config, fmt, digest, route, cap
 # stayed, every diagnostic moved at most 1.3e-13 relative), and with
 # collinear's once the factor put the ones column last (flags and verdicts
 # stayed, every diagnostic moved at most 6.7e-14 relative, 2.5e-13 with the
-# guard shut).
+# guard shut). The aux JSON and CSV digests were taken again once the solver
+# read every rank off one QR of `[A, b]` and its SVD (both text digests
+# stayed, every printed value moved at most 9.1e-13 relative).
 CLI_CASES = {
     "belsley": ["diagnose", "belsley.csv", "--dependent", "y"],
     "belsley-no-intercept": ["diagnose", "belsley.csv", "--dependent", "y", "--no-intercept"],
@@ -626,11 +661,11 @@ CLI_GOLDENS = [
     ("constant", "json", "3b88b0571b88872f1daf010f55eb6cc2c541cde01d50f144fde91bafa56d0c97"),
     ("constant", "csv", "f5f9bad6e4f4485d2b86af67dbbeac27028f9bd0577a60e422457510ca586e5c"),
     ("aux-noncentered", "text", "261ed13024f618bffc5355c41177486e14a8b3f5e8ecc58c30d34ea351508d98"),
-    ("aux-noncentered", "json", "03a60eda64a189ed39272f6b5c0623edabeb4bc9384787a524010e98737bac7a"),
-    ("aux-noncentered", "csv", "9b93f419f58ae871fa0549f9fc99b89001c3684f64934d42a2a3a22db0c68ad7"),
+    ("aux-noncentered", "json", "e412a754949f7cdea2fbf936747c09b674787c1d771ae2ad8a336e1d9fb57cbc"),
+    ("aux-noncentered", "csv", "91ffd2ca83eb3d694ee6041a8c9541948c6e188e70289a04858a3d1bd20ab709"),
     ("aux-centered", "text", "f5b93a4053f0cfb63a039dc69d59be2370445de8ef4dc63012a023a4dd59d1f0"),
-    ("aux-centered", "json", "15a98d9e175334968c679a2a150c6216e4456a4dddbea7fe3ac94d0d48b60a9b"),
-    ("aux-centered", "csv", "6c8af126f15745c03da265a13b7952f9cfd4eeb84be7aca98f10f93348bf9254"),
+    ("aux-centered", "json", "ab386f85329e405a2b48ab570bc48d05b662a9756d9ef5caa37f7790064a9311"),
+    ("aux-centered", "csv", "5083b7754079d181a0a7984a79ea766c9b3df306aa3eeebd4c01d2ab2a309382"),
     ("replicate", "text", "19f2226c0d7fb36c5ad1145056a0de2943859493e766d14ff150521b010f9e4a"),
     ("replicate", "json", "a3cfd39ebe036e795eeeac1a4cdc5414a6235894b24373667015d165d90b8e1b"),
     ("replicate", "csv", "dca0ee386f74d5e51daabc4989d30c4f3068a29f17f876a951c49b08955fbecc"),
@@ -678,6 +713,15 @@ CLI_ONES_FIRST_SVD_GOLDENS = [
     ("replicate", "csv", "7275d6dbcb0c3e591374cdb95ae07eb1596585cc0eebecc65bde75ec6918cd29"),
 ]
 
+# The aux JSON and CSV digests pinned while the solver formed Q of A and
+# solved a full-rank R by LU: `reduced_q_solve` must still print them.
+CLI_REDUCED_Q_GOLDENS = [
+    ("aux-noncentered", "json", "03a60eda64a189ed39272f6b5c0623edabeb4bc9384787a524010e98737bac7a"),
+    ("aux-noncentered", "csv", "9b93f419f58ae871fa0549f9fc99b89001c3684f64934d42a2a3a22db0c68ad7"),
+    ("aux-centered", "json", "15a98d9e175334968c679a2a150c6216e4456a4dddbea7fe3ac94d0d48b60a9b"),
+    ("aux-centered", "csv", "6c8af126f15745c03da265a13b7952f9cfd4eeb84be7aca98f10f93348bf9254"),
+]
+
 
 @pytest.fixture()
 def golden_inputs(tmp_path, monkeypatch):
@@ -698,7 +742,13 @@ def golden_inputs(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize(
     "case, fmt, digest, route",
-    golden_params(CLI_GOLDENS, CLI_SVD_GOLDENS, CLI_ONES_FIRST_GOLDENS, CLI_ONES_FIRST_SVD_GOLDENS),
+    golden_params(
+        CLI_GOLDENS,
+        CLI_SVD_GOLDENS,
+        CLI_ONES_FIRST_GOLDENS,
+        CLI_ONES_FIRST_SVD_GOLDENS,
+        CLI_REDUCED_Q_GOLDENS,
+    ),
 )
 def test_cli_output_is_byte_identical(case, fmt, digest, route, golden_inputs, capsys, monkeypatch):
     take_route(monkeypatch, route)

@@ -345,6 +345,14 @@ class TestRoundTrip:
             assert again.names == data.names
             assert np.array_equal(again.values, data.values)
 
+    def test_names_that_need_quotes_roundtrip(self):
+        # names that load_csv accepts quoted: a comma, a quote, a line break
+        names = ("X,4", 'a"b', "line\nbreak")
+        values = np.array([[1.0, 0.1, -2.5e-300], [3.0, 1e300, 1 / 3]])
+        loaded = load_csv(io.StringIO(to_csv(DataMatrix(names, values))))
+        assert loaded.names == names
+        assert loaded.values.view(np.uint64).tolist() == values.view(np.uint64).tolist()
+
     @settings(max_examples=60)
     @given(
         st.lists(

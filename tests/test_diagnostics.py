@@ -14,6 +14,7 @@ from vifnc import (
     ScenarioSpec,
     Thresholds,
     auxiliary_regression,
+    fit,
     full_report,
     intercept_trick,
     replication_table,
@@ -527,6 +528,13 @@ class TestFullReport:
             lambda: variance_factors(data, spec),
             lambda: vif(data, "x1", ["x2"]),
             lambda: vifnc(data, "x1", ["x2"]),
+            # the routes that read no factor keep its rule, x2 the target or a regressor
+            lambda: fit(data, spec),
+            lambda: fit(data, ModelSpec("x2", ("y", "x1"))),
+            lambda: auxiliary_regression(data, "x2", None, AuxiliaryMode.CENTERED),
+            lambda: auxiliary_regression(data, "x1", None, AuxiliaryMode.NONCENTERED),
+            lambda: stewart_index(data, "x2"),
+            lambda: stewart_index(data, "x1"),
         ):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -714,7 +722,7 @@ class TestSharedFactor:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             factor = diagnostics._Factor(stack)
-            assert np.all(factor.xtx[:, 1] <= diagnostics._XTX_MAX)
+            assert np.all(factor.xtx[:, 1] <= linalg._XTX_MAX)
             for bad in (2, 1):
                 wide = stack.copy()
                 wide[3, 0, bad] = edge * 5

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -116,3 +118,39 @@ def test_one_dimensional_design_is_one_column():
     sol = solve_least_squares(x, b)
     assert sol.coefficients.tolist() == column.coefficients.tolist()
     assert (sol.rank, sol.residual_norm) == (1, column.residual_norm)
+
+
+@pytest.mark.parametrize("deficient", [False, True])
+def test_one_qr_of_the_augmented_system_and_one_svd_at_every_rank(deficient, monkeypatch):
+    # R of [A, b] holds R of A and Q'b, and the SVD that gives the rank gives the solution:
+    # no Q, and no second solve at full rank
+    rng = np.random.default_rng(12)
+    A = rng.normal(size=(15, 3))
+    if deficient:
+        A[:, 2] = A[:, 0] - 2.0 * A[:, 1]
+    b = rng.normal(size=15)
+    calls = []
+    for name in ("qr", "svd", "solve"):
+
+        def spy(a, *args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, np.shape(a), args, kwargs))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    sol = solve_least_squares(A, b)
+    assert (sol.rank, sol.rank_deficient) == (2 if deficient else 3, deficient)
+    assert calls == [("qr", (15, 4), (), {"mode": "r"}), ("svd", (3, 3), (), {})]
+    gradient = A.T @ (b - A @ sol.coefficients)
+    assert np.all(np.abs(gradient) < 1e-12)
+
+
+def test_a_column_whose_squares_overflow_is_named_by_its_position():
+    # finite entries whose x'x is not: named by position in [A, b], b last, before any product
+    rng = np.random.default_rng(5)
+    A, b = rng.normal(size=(20, 2)), rng.normal(size=20)
+    huge = 1e200 * (1.0 + rng.normal(size=20))
+    for design, rhs, position in ((np.column_stack([A[:, 0], huge]), b, 1), (A, huge, 2)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^column {position} is too large"):
+                solve_least_squares(design, rhs)
