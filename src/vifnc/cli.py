@@ -28,10 +28,11 @@ from .report import (
 )
 
 
-def _split_names(raw: list[str]) -> tuple[str, ...]:
+def _split_names(raw: list[str], columns: tuple[str, ...]) -> tuple[str, ...]:
+    """Each token that names one of ``columns`` whole, and the comma-separated parts of the others."""
     names: list[str] = []
     for chunk in raw:
-        names.extend(part for part in chunk.split(",") if part)
+        names.extend([chunk] if chunk in columns else (part for part in chunk.split(",") if part))
     return tuple(names)
 
 
@@ -39,7 +40,7 @@ def cmd_diagnose(args) -> int:
     data = load_csv(args.csv)
     dependent = args.dependent
     if args.regressors:
-        regressors = _split_names(args.regressors)
+        regressors = _split_names(args.regressors, data.names)
     else:
         regressors = tuple(name for name in data.names if name != dependent)
         if args.intercept:
@@ -76,7 +77,7 @@ def cmd_replicate(args) -> int:
 def cmd_aux(args) -> int:
     data = load_csv(args.csv)
     mode = AuxiliaryMode(args.mode)
-    regressors = _split_names(args.regressors) if args.regressors else None
+    regressors = _split_names(args.regressors, data.names) if args.regressors else None
     fit = auxiliary_regression(data, args.column, regressors, mode)
     label = f"{args.column} ~ {' + '.join(fit.coefficient_names[fit.intercept :])} ({mode.value})"
     sys.stdout.write(render_fit(fit, label, fmt=args.format))
@@ -114,7 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
     diagnose.add_argument(
         "--regressors",
         nargs="+",
-        help="regressor columns (default: every column except the dependent; "
+        help="regressor columns, also comma-separated; a token that names a column whole "
+        "is taken whole (default: every column except the dependent; "
         "with --intercept, all-ones columns are also skipped)",
     )
     diagnose.add_argument(
@@ -138,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     aux.add_argument("csv", type=Path)
     aux.add_argument("--column", required=True, help="column to regress on the others")
     aux.add_argument(
-        "--regressors", nargs="+", help="explanatory columns (default: all other columns)"
+        "--regressors", nargs="+", help="explanatory columns, as in diagnose (default: all others)"
     )
     aux.add_argument(
         "--mode",

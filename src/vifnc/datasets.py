@@ -34,7 +34,8 @@ import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO
+from types import SimpleNamespace
+from typing import IO, Iterable
 
 import numpy as np
 
@@ -257,13 +258,24 @@ def _numeral(cell: str, row: int, col: int) -> float:
 def to_csv(data: DataMatrix) -> str:
     """Canonical serialization: header plus shortest round-trip decimals.
 
-    A name is quoted only when it needs it (a comma, a quote, a line break),
+    A name is quoted only when it needs it (a comma, a quote, CR or LF),
     as :func:`load_csv` reads it back.
     """
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerow(data.names)
-    out.writelines(",".join(repr(float(v)) for v in row) + "\n" for row in data.values)
-    return out.getvalue()
+    return _csv_text([data.names, *data.values.tolist()])
+
+
+def _csv_text(rows: Iterable[Iterable]) -> str:
+    """``rows`` as CSV text with LF line ends; a float is written as its shortest repr.
+
+    A cell is quoted when it holds a comma, a quote, CR or LF, on every
+    Python. Before 3.13 the ``csv`` writer counts as a line break only the
+    characters of its line terminator, so under LF it leaves a lone CR
+    bare, which :func:`load_csv` reads as a line end. So the writer ends
+    each line in CRLF, and that CRLF is then cut to LF.
+    """
+    lines: list[str] = []
+    csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n").writerows(rows)
+    return "".join(line[:-2] + "\n" for line in lines)
 
 
 def save_csv(data: DataMatrix, path: str | Path) -> None:

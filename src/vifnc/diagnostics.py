@@ -38,8 +38,8 @@ equals the report row of a model on the same columns, and a replication
 the calls on its own matrix, bit for bit. The factor costs n*K^2 for K
 columns, so a caller pays for every column of the matrix it passes.
 ``stewart_index`` (the Gram system) and ``auxiliary_regression`` (a refit)
-keep routes of their own, under the factor's overflow rule
-(:func:`vifnc.linalg._gate`).
+keep routes of their own, with the factor's column sums and overflow rule
+(:func:`vifnc.linalg._column_xtx`, :func:`vifnc.linalg._centered`).
 
 Conventions: ``vifnc(j, regressors)`` regresses j on exactly the named
 regressors and never adds a ones column; passing an explicit all-ones
@@ -65,7 +65,7 @@ from .errors import (
     TooFewObservations,
     ZeroColumn,
 )
-from .linalg import _TooLarge, _column_xtx, _gate, _guarded, _halves
+from .linalg import _TooLarge, _centered, _column_xtx, _guarded, _halves
 from .ols import INTERCEPT_NAME, DataMatrix, FitResult, ModelSpec, _distinct, fit
 
 #: Bytes of one design's ``[D, 1]`` that the factor takes at a time (see ``_Factor``).
@@ -198,11 +198,11 @@ class _Factor:
     pass, keeps the block in cache and never copies the whole matrix.
 
     Arrays over ``(..., K)``, per column of D: ``mean``, ``xtx`` (``x'x``),
-    ``tss_c`` (the centered TSS) and ``constant`` (every entry equal), each
-    in the floating-point order of ``x.mean()``, ``x @ x`` and
-    ``((x - mean) ** 2).sum()`` on the column, so the values do not depend
-    on the route that read them. A constant column's mean is its value, so
-    its ``tss_c`` is exactly 0.
+    ``tss_c`` (the centered TSS) and ``constant`` (every entry equal), from
+    :func:`vifnc.linalg._column_xtx` and :func:`vifnc.linalg._centered`,
+    which ``fit`` and ``stewart_index`` call too, so the values do not
+    depend on the route that read them. A constant column's mean is its
+    value, so its ``tss_c`` is exactly 0.
 
     A column set S is read at its positions in D, in D's order, so a value
     depends on the data and the set alone. Since ``R[:, S]'R[:, S]`` is
@@ -216,11 +216,7 @@ class _Factor:
 
     def __init__(self, values: np.ndarray):
         *stack, n, k = values.shape
-        # on each strided column: BLAS sums a contiguous copy in another order
-        with np.errstate(over="ignore"):
-            xtx = [(v[..., None, :] @ v[..., :, None])[..., 0, 0] for v in np.moveaxis(values, -1, 0)]
-        self.xtx = np.stack(xtx, axis=-1)
-        _gate(self.xtx)
+        self.xtx = _column_xtx(values)
         # allocated first: a buffer taken after the QR's temporaries sits above
         # them on the heap and keeps it from shrinking once they are freed
         x = np.empty((*stack, n))  # contiguous, as the sums' floating-point order needs
@@ -238,10 +234,7 @@ class _Factor:
             self.r = np.linalg.qr(design, mode="r")
         for c in range(k):
             x[...] = values[..., c]
-            self.constant[..., c] = constant = x.min(axis=-1) == x.max(axis=-1)
-            self.mean[..., c] = mean = np.where(constant, x[..., 0], x.mean(axis=-1))
-            x -= mean[..., None]
-            self.tss_c[..., c] = np.multiply(x, x, out=x).sum(axis=-1)
+            self.constant[..., c], self.mean[..., c], self.tss_c[..., c] = _centered(x)
         self._halves, self._rss = {}, {}
 
     def rss(self, positions: Sequence[int], centered: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -395,9 +388,9 @@ def stewart_index(
     """
     names = _others(data, j, regressors) + (j,)
     design = data.matrix(names)
-    _gate(_column_xtx(design), names)
+    xtx = _column_xtx(design, names)
     others, x = design[:, :-1], design[:, -1]
-    tss = float(x @ x)
+    tss = float(xtx[-1])
     if tss == 0.0:
         raise ZeroColumn(f"column {j!r} is identically zero")
     if len(names) == 1:

@@ -13,11 +13,17 @@ holds R of A in its leading block and ``Q'b`` in its last column
 is formed. The SVD of that block with unit-length columns gives the rank
 and, cut at it, the solution.
 
+Column sums. A column's ``x'x`` comes from :func:`_column_xtx`, and its
+constant flag, mean and centered TSS from :func:`_centered`, on every
+route: the diagnostics' factor, ``fit`` and ``stewart_index``. So the
+paper's two numerators read the same bits wherever they are read.
+
 Overflow. A column whose ``x'x`` exceeds :data:`_XTX_MAX` has column
-norms that cannot be squared, so every route that reads columns raises
-:class:`_TooLarge` for it before any product: the diagnostics' factor, the
-solver (by its position in ``[A, b]``), and, by name, ``fit`` and
-``stewart_index``.
+norms that cannot be squared, so :func:`_column_xtx` raises
+:class:`_TooLarge` for it, and every route that reads columns calls it
+before any product: the diagnostics' factor, the solver (by its position
+in ``[A, b]``), and, by name, ``stewart_index`` (``fit`` through the
+solver).
 
 The kernel gives the RSS of every column of a design regressed on all the
 other columns, and fits no regression. The RSS depend on the design only
@@ -81,28 +87,43 @@ class _TooLarge(ValueError):
         self.position = position
 
 
-def _gate(xtx: np.ndarray, names=None) -> None:
-    """:class:`_TooLarge` for the first column whose ``x'x`` exceeds :data:`_XTX_MAX`.
+def _column_xtx(a: np.ndarray, names=None) -> np.ndarray:
+    """Each column's ``x'x`` over ``(..., n, K)``, after the overflow rule.
 
-    ``xtx`` runs over ``(..., k)``, one design or a stack; a column counts
-    if it is too large in any design, and NaN counts too. The exception
-    names the column from ``names`` when given, else gives its position.
+    Every ``x'x`` the package reads comes from here, each summed on the
+    strided column itself (BLAS sums a contiguous copy in another order),
+    so a column reads the same bits on every route. Raises
+    :class:`_TooLarge` for the first column whose ``x'x`` exceeds
+    :data:`_XTX_MAX` in any design of a stack, NaN included, named from
+    ``names`` when given, else by its position.
     """
+    with np.errstate(over="ignore"):
+        xtx = [(v[..., None, :] @ v[..., :, None])[..., 0, 0] for v in np.moveaxis(a, -1, 0)]
+    xtx = np.stack(xtx, axis=-1)
     too_large = ~(xtx <= _XTX_MAX).reshape(-1, xtx.shape[-1]).all(axis=0)
     if too_large.any():
         position = int(np.argmax(too_large))
         raise _TooLarge(position, None if names is None else names[position])
+    return xtx
 
 
-def _column_xtx(a: np.ndarray) -> np.ndarray:
-    """Each column's ``x'x``, ``inf`` without a warning where it overflows."""
-    with np.errstate(over="ignore"):
-        return np.einsum("ij,ij->j", a, a)
+def _centered(x: np.ndarray):
+    """A column's constant flag, mean and centered TSS, over ``(..., n)``; ``x`` is overwritten.
+
+    ``x`` is a contiguous buffer, as the sums' floating-point order needs,
+    and it ends up holding the squared deviations. A constant column's
+    float mean can miss its value by an ulp, which would leave a centered
+    TSS of ~1e-33 in place of the exact zero, so its mean is its value.
+    """
+    constant = x.min(axis=-1) == x.max(axis=-1)
+    mean = np.where(constant, x[..., 0], x.mean(axis=-1))
+    x -= mean[..., None]
+    return constant, mean, np.multiply(x, x, out=x).sum(axis=-1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LeastSquaresSolution:
-    """Output of :func:`solve_least_squares`.
+    """Output of :func:`solve_least_squares`; equality is identity, as it holds an array.
 
     Attributes
     ----------
@@ -335,7 +356,7 @@ def solve_least_squares(A, b) -> LeastSquaresSolution:
     if n < k:
         raise TooFewObservations(f"{n} observations for {k} design columns")
     augmented = np.column_stack([A, b])
-    _gate(_column_xtx(augmented))
+    _column_xtx(augmented)  # the overflow rule; b is column k
 
     r = np.linalg.qr(augmented, mode="r")
     norms, u, s, vh, rank = _scaled_spectrum(r[:k, :k])

@@ -18,12 +18,12 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import NonFiniteInput, NotCenteredModel, UnknownColumn, ZeroTotalSumOfSquares
-from .linalg import _TooLarge, solve_least_squares
+from .linalg import _TooLarge, _centered, _column_xtx, solve_least_squares
 
 INTERCEPT_NAME = "intercept"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DataMatrix:
     """Labeled numeric observation matrix with immutable float64 storage.
 
@@ -34,6 +34,9 @@ class DataMatrix:
     ``values`` is copied, so later writes to the caller's array do not
     reach the matrix. :mod:`vifnc.diagnostics` keeps on the instance one
     factor of all its columns, which every diagnostic on it reads.
+    Equality is identity, as for every result that holds arrays (an array
+    comparison has no single truth value), so a matrix hashes and can key
+    a dict.
     """
 
     names: tuple[str, ...]
@@ -119,13 +122,14 @@ def _distinct(regressors: Iterable[str], dependent: str | None = None) -> tuple[
     return regressors
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitResult:
     """OLS output plus both sum-of-squares decompositions.
 
     ``coefficients`` follows ``coefficient_names``; when the model has an
     intercept it comes first. ``rank_deficient`` is carried through from
     the solver rather than raised, so degenerate designs still report.
+    Equality is identity, as for :class:`DataMatrix`.
     """
 
     coefficients: np.ndarray
@@ -177,20 +181,18 @@ def fit(data: DataMatrix, spec: ModelSpec) -> FitResult:
         raise _TooLarge(exc.position, (names + (spec.dependent,))[exc.position]) from None
     fitted = X @ sol.coefficients
     residuals = y - fitted
-    # a constant column's float mean can miss the constant by an ulp, which
-    # would leave a centered TSS of ~1e-33 in place of the exact zero
-    ybar = float(y[0]) if y.min() == y.max() else float(y.mean())
+    _, ybar, tss_centered = _centered(y.copy())
     return FitResult(
         coefficients=sol.coefficients,
         coefficient_names=names,
         fitted=fitted,
         residuals=residuals,
         rss=float(residuals @ residuals),
-        tss_uncentered=float(y @ y),
-        tss_centered=float(((y - ybar) ** 2).sum()),
+        tss_uncentered=float(_column_xtx(y[:, None])[0]),
+        tss_centered=float(tss_centered),
         ess_uncentered=float(fitted @ fitted),
         ess_centered=float(((fitted - ybar) ** 2).sum()),
-        dependent_mean=ybar,
+        dependent_mean=float(ybar),
         intercept=spec.intercept,
         rank=sol.rank,
         rank_deficient=sol.rank_deficient,

@@ -7,8 +7,9 @@ undefined value (``None`` or NaN: the VIF of a constant column, a
 statistic over zero successes) as ``null``, ``inf`` as
 ``{"value": null, "infinite": true}`` and ``-inf`` as the same object
 with ``"negative": true``, because JSON has no infinity literal, and
-dumps with ``allow_nan=False``. ``_emit_csv`` quotes a cell
-only when it needs it (a name with a comma) and writes shortest
+dumps with ``allow_nan=False``. ``_emit_csv`` writes through the
+package's one CSV writer, :func:`vifnc.datasets._csv_text`, which quotes a
+cell only when it needs it (a comma, a quote, CR or LF); it writes shortest
 round-trip decimals, ``0``/``1`` flags, ``NA`` and ``inf``. ``_emit_table``
 lays out ``(title, template)`` text columns to 7 significant digits, the
 precision the replication targets were published at, so values can be
@@ -17,12 +18,11 @@ compared by eye; ``NA`` and ``inf`` read as in CSV.
 
 from __future__ import annotations
 
-import csv
 import enum
-import io
 import json
 import math
 
+from .datasets import _csv_text
 from .diagnostics import CollinearityReport, Thresholds
 from .montecarlo import MonteCarloSummary
 from .ols import FitResult, ModelSpec, r2_centered, r2_noncentered
@@ -90,11 +90,7 @@ def _cell(value) -> str:
 
 
 def _emit_csv(header, rows) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([_cell(value) for value in row] for row in rows)
-    return out.getvalue()
+    return _csv_text([header, *([_cell(value) for value in row] for row in rows)])
 
 
 def _text(value) -> str:

@@ -12,6 +12,10 @@ import pytest
 
 from vifnc import DataMatrix, belsley, diagnostics, linalg, load_csv, montecarlo, ols, save_csv, to_csv
 from vifnc.cli import main
+from vifnc.replication import ReplicationEntry
+from vifnc.report import OutputFormat, render_replication
+
+from test_datasets import AWKWARD_NAMES
 
 BELSLEY_CSV = to_csv(belsley())
 
@@ -44,6 +48,15 @@ def strict_json(text):
         raise ValueError(f"non-standard JSON token {token}")
 
     return json.loads(text, parse_constant=reject)
+
+
+def comma_csv(tmp_path):
+    """The Belsley data with X4 renamed ``X,4``."""
+    path = tmp_path / "comma.csv"
+    header, body = BELSLEY_CSV.split("\n", 1)
+    assert header == "y,X1,X2,X3,X4"
+    path.write_text('y,X1,X2,X3,"X,4"\n' + body, encoding="utf-8")
+    return path
 
 
 class TestDiagnose:
@@ -176,6 +189,18 @@ class TestDiagnose:
         header, values = csv.reader(io.StringIO(out))
         assert "coef_X,4" in header
         assert len(values) == len(header)
+
+    def test_regressors_take_a_name_with_a_comma_whole(self, tmp_path, capsys):
+        # a token that names a column whole is that column; any other is split on commas
+        path = comma_csv(tmp_path)
+        cases = ((["X,4", "X2"], ["X,4", "X2"]), (["X2,X3", "X,4"], ["X2", "X3", "X,4"]))
+        for tokens, variables in cases:
+            code, out, err = run_cli(
+                capsys, "diagnose", str(path), "--dependent", "y", "--regressors", *tokens,
+                "--format", "csv",
+            )
+            assert (code, err) == (0, "")
+            assert [row[0] for row in csv.reader(io.StringIO(out))][1:] == variables
 
     def test_nan_threshold_exit_2_names_it(self, belsley_csv, capsys):
         code, _, err = run_cli(
@@ -387,6 +412,41 @@ class TestAux:
         assert math.isclose(
             1.0 / (1.0 - parsed.column("r2_noncentered")[0]), 100032.1, rel_tol=5e-3
         )
+
+    def test_regressors_take_a_name_with_a_comma_whole(self, tmp_path, capsys):
+        path = comma_csv(tmp_path)
+        for tokens, names in ((["X,4"], ["X,4"]), (["X,4", "X2,y"], ["X,4", "X2", "y"])):
+            code, out, err = run_cli(
+                capsys, "aux", str(path), "--column", "X3", "--regressors", *tokens,
+                "--format", "csv",
+            )
+            assert (code, err) == (0, "")
+            assert next(csv.reader(io.StringIO(out)))[: len(names)] == [f"coef_{n}" for n in names]
+        code, _, err = run_cli(capsys, "aux", str(path), "--column", "X3", "--regressors", "X2,X,4")
+        assert (code, err) == (2, "error: no column named 'X'\n")
+
+
+def test_csv_renderers_quote_every_name_that_needs_it(tmp_path, capsys):
+    # a lone CR too, which the csv module before Python 3.13 leaves bare under an LF terminator
+    rng = np.random.default_rng(8)
+    columns = {"y": rng.normal(size=30), **{name: rng.normal(size=30) for name in AWKWARD_NAMES}}
+    path = tmp_path / "awkward.csv"
+    save_csv(DataMatrix.from_columns(columns), path)
+
+    def read(text):
+        return list(csv.reader(io.StringIO(text, newline="")))
+
+    code, out, _ = run_cli(capsys, "diagnose", str(path), "--dependent", "y", "--format", "csv")
+    assert code == 0
+    assert [row[0] for row in read(out)[1:]] == list(AWKWARD_NAMES)
+    code, out, _ = run_cli(
+        capsys, "aux", str(path), "--column", "y", "--mode", "centered", "--format", "csv"
+    )
+    assert code == 0
+    assert read(out)[0][: len(columns)] == ["coef_intercept", *(f"coef_{n}" for n in AWKWARD_NAMES)]
+    entries = [ReplicationEntry(name, 1.0, 1.0, 1e-6, "relative") for name in AWKWARD_NAMES]
+    rows = read(render_replication(entries, OutputFormat.CSV))
+    assert [row[0] for row in rows[1:]] == list(AWKWARD_NAMES)
 
 
 class TestMontecarlo:

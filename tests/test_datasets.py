@@ -20,11 +20,15 @@ from vifnc import (
     derive_seed,
     generate_normal_column,
     load_csv,
+    save_csv,
     to_csv,
 )
 from vifnc import datasets
 from vifnc.datasets import _derive_seeds, _normal_columns
 from vifnc.errors import DuplicateHeader, NonFiniteValue, ParseError, RaggedRow
+
+#: Column names that a CSV writer must quote, or must leave as they are (the leading space).
+AWKWARD_NAMES = ("a\rb", "a\r\nb", "a\nb", 'a"b', "X,4", " lead")
 
 #: The numeral grammar of the CSV contract, the oracle for the loader's byte-class rule.
 NUMERAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
@@ -352,6 +356,16 @@ class TestRoundTrip:
         loaded = load_csv(io.StringIO(to_csv(DataMatrix(names, values))))
         assert loaded.names == names
         assert loaded.values.view(np.uint64).tolist() == values.view(np.uint64).tolist()
+
+    def test_names_with_a_line_break_a_quote_or_a_comma_roundtrip(self, tmp_path):
+        # a lone CR is quoted on every Python, not only from 3.13 on, or the loader
+        # reads it as a line end
+        rng = np.random.default_rng(6)
+        data = DataMatrix(AWKWARD_NAMES, rng.normal(size=(4, len(AWKWARD_NAMES))))
+        save_csv(data, tmp_path / "awkward.csv")
+        for loaded in (load_csv(io.StringIO(to_csv(data))), load_csv(tmp_path / "awkward.csv")):
+            assert loaded.names == AWKWARD_NAMES
+            assert loaded.values.tobytes() == data.values.tobytes()
 
     @settings(max_examples=60)
     @given(

@@ -679,6 +679,39 @@ class TestSharedFactor:
         run_scenario(ScenarioSpec(kind="independent", n=30, replications=7, master_seed=1))
         assert built == [20, 30]
 
+    @pytest.mark.parametrize("n, k", [(2, 2), (5, 3), (20, 4), (257, 6), (3_000, 5)])
+    def test_fit_and_stewart_read_the_factors_column_sums(self, n, k, monkeypatch):
+        # x'x, mean and centered TSS have one path each: fit's dependent column and
+        # stewart_index's x'x carry the factor's bits
+        rng = np.random.default_rng(100 * n + k)
+        stack = rng.normal(rng.uniform(-3, 3, k), 2.0, (3, n, k))
+        stack[..., 0] = 0.1  # exactly constant; its float mean misses 0.1 by an ulp at n = 20
+        stack[..., -1] += 1e8
+        # the designs of the stack are strided slices of a larger array
+        stack = np.repeat(stack, 2, axis=-1)[..., ::2]
+        names = tuple(f"c{i}" for i in range(k))
+        xtx_reads, column_xtx = [], diagnostics._column_xtx
+        monkeypatch.setattr(
+            diagnostics, "_column_xtx", lambda *a: xtx_reads.append(column_xtx(*a)) or xtx_reads[-1]
+        )
+        whole = diagnostics._Factor(stack)
+
+        def bits(*values):
+            return np.array(values, dtype=float).view(np.uint64).tolist()
+
+        for i, design in enumerate(stack):
+            data = DataMatrix(names, design)
+            for c, name in enumerate(names):
+                others = names[:c] + names[c + 1 :]
+                result = fit(data, ModelSpec(name, others))
+                sums = bits(result.tss_uncentered, result.dependent_mean, result.tss_centered)
+                assert sums == bits(whole.xtx[i, c], whole.mean[i, c], whole.tss_c[i, c])
+                try:
+                    stewart_index(data, name)
+                except RankDeficient:  # the constant and the offset column, read after x'x
+                    pass
+                assert bits(*xtx_reads[-1]) == bits(*whole.xtx[i, [*map(names.index, others), c]])
+
     @pytest.mark.parametrize("n", [4, 20, 500])
     def test_a_stack_factors_each_design_as_its_slice_alone(self, n):
         rng = np.random.default_rng(n)

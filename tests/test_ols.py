@@ -8,9 +8,14 @@ from hypothesis import strategies as st
 from vifnc import (
     DataMatrix,
     ModelSpec,
+    ScenarioSpec,
+    Thresholds,
     fit,
+    full_report,
     r2_centered,
     r2_noncentered,
+    run_scenario,
+    solve_least_squares,
 )
 from vifnc.errors import (
     NonFiniteInput,
@@ -85,6 +90,27 @@ class TestDataMatrix:
     def test_constant_column_is_legal(self):
         data = DataMatrix.from_columns({"ones": [1.0, 1.0, 1.0], "x": [1.0, 2.0, 3.0]})
         assert np.all(data.column("ones") == 1.0)
+
+
+class TestEquality:
+    def test_results_that_hold_arrays_compare_by_identity_and_hash(self):
+        # an array comparison has no single truth value, so == is identity and each one hashes
+        data, twin = make_data(), make_data()
+        spec = ModelSpec("y", ("a", "b"))
+        solutions = [solve_least_squares(d.matrix(("a", "b")), d.column("y")) for d in (data, twin)]
+        for one, other in [(data, twin), (fit(data, spec), fit(twin, spec)), solutions]:
+            assert one == one and not one == other and one != other
+            assert hash(one) == hash(one)
+            assert {one: "one", other: "other"}[one] == "one"
+
+    def test_results_of_plain_values_still_compare_by_value(self):
+        data = make_data()
+        spec = ModelSpec("y", ("a", "b"))
+        assert full_report(data, spec) == full_report(make_data(), spec)
+        assert full_report(data, spec) != full_report(data, spec, Thresholds(vif=5.0))
+        scenario = ScenarioSpec("independent", n=20, replications=5, master_seed=3)
+        assert run_scenario(scenario) == run_scenario(scenario)
+        assert run_scenario(scenario) != run_scenario(ScenarioSpec("independent", 20, 5, 4))
 
 
 class TestModelSpec:
